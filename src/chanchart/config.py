@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .evalmetrics import DEFAULT_K_GRID
 from .rng import substream
 from .synthgen import RadioConfig, ScattererSet, TrajectoryConfig, loop_scenario
 from .trainer import TrainConfig
@@ -37,8 +38,6 @@ class ConfigError(ValueError):
 
 
 STAGES = ("trajectory", "init", "mining", "training")
-
-DEFAULT_K_GRID = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.10)
 
 
 def derive_seeds(root: int) -> dict:

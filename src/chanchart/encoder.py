@@ -165,8 +165,15 @@ def backward(p: EncoderParams, cache: ForwardCache, h: np.ndarray, gz: np.ndarra
 
 @dataclass
 class BatchCache:
-    """Intermediates of a batched hybrid forward; rows with ok=False are degenerate."""
+    """Intermediates of a batched hybrid forward; rows with ok=False are degenerate.
 
+    h_re/h_im are the real and imaginary planes of the charted rows, kept
+    so that backward_batch need not split the channels again.  They are
+    contiguous copies: matmul on strided real/imag views bypasses BLAS.
+    """
+
+    h_re: np.ndarray    # (n_samples, m)
+    h_im: np.ndarray
     a_re: np.ndarray    # (n_samples, n_init)
     a_im: np.ndarray
     b: np.ndarray
@@ -203,12 +210,22 @@ def forward_batch(p: EncoderParams, channels: np.ndarray):
     d = np.where(kept_mask, b, 0.0) / safe_s[:, None]
     d[~ok] = 0.0
     z = d @ p.z.T
-    return z, BatchCache(a_re=a_re, a_im=a_im, b=b, kept_mask=kept_mask, s=s, d=d, ok=ok)
+    return z, BatchCache(h_re=h_re, h_im=h_im, a_re=a_re, a_im=a_im, b=b,
+                         kept_mask=kept_mask, s=s, d=d, ok=ok)
 
 
 def backward_batch(p: EncoderParams, cache: BatchCache, channels: np.ndarray, gz: np.ndarray):
-    """Batch-summed hybrid gradients; rows flagged not-ok contribute nothing."""
-    channels = np.asarray(channels, dtype=np.complex128)
+    """Batch-summed hybrid gradients; rows flagged not-ok contribute nothing.
+
+    The channel planes come from ``cache`` (``channels`` must be the rows
+    that forward_batch charted).  When some row is flagged, its correlation
+    gradients and its h planes (in a copy) are zeroed before the gradient
+    GEMMs, so non-finite entries of a masked row cannot leak in as NaN*0;
+    batches with every row ok feed the GEMMs the cached planes unchanged.
+    """
+    h_re, h_im = cache.h_re, cache.h_im
+    if np.shape(channels)[0] != h_re.shape[0]:
+        raise ValueError("channels do not match the forward cache")
     gz = np.array(gz, dtype=np.float64)
     gz[~cache.ok] = 0.0
     gz_mat = gz.T @ cache.d
@@ -220,9 +237,14 @@ def backward_batch(p: EncoderParams, cache: BatchCache, channels: np.ndarray, gz
     safe_b = np.where(cache.b > 0.0, cache.b, 1.0)
     ga_re = gc * cache.a_re / safe_b
     ga_im = gc * cache.a_im / safe_b
-    # contiguous copies: matmul on strided real/imag views bypasses BLAS
-    h_re = np.ascontiguousarray(channels.real)
-    h_im = np.ascontiguousarray(channels.imag)
+    bad = ~cache.ok
+    if bad.any():
+        ga_re[bad] = 0.0
+        ga_im[bad] = 0.0
+        h_re = h_re.copy()
+        h_im = h_im.copy()
+        h_re[bad] = 0.0
+        h_im[bad] = 0.0
     gd_re = h_re.T @ ga_re + h_im.T @ ga_im
     gd_im = h_im.T @ ga_re - h_re.T @ ga_im
     return gd_re, gd_im, gz_mat
@@ -291,14 +313,18 @@ def mlp_forward(p: MlpParams, h: np.ndarray):
 
 
 def mlp_backward(p: MlpParams, activations: list, gz: np.ndarray):
-    """Gradients of (gz . z) w.r.t. each weight matrix."""
+    """Gradients of (gz . z) w.r.t. each weight matrix.
+
+    The gradient w.r.t. the network input is not formed: nothing reads it.
+    """
     g = np.asarray(gz, dtype=np.float64)
     grads = [None] * len(p.weights)
     for i in range(len(p.weights) - 1, -1, -1):
         if i < len(p.weights) - 1:
             g = g * (activations[i + 1] > 0.0)
         grads[i] = np.outer(g, activations[i])
-        g = p.weights[i].T @ g
+        if i > 0:
+            g = p.weights[i].T @ g
     return grads
 
 
@@ -320,7 +346,11 @@ def mlp_forward_batch(p: MlpParams, channels: np.ndarray):
 
 
 def mlp_backward_batch(p: MlpParams, activations: list, gz: np.ndarray, ok: np.ndarray):
-    """Batch-summed MLP weight gradients; rows with ok=False contribute nothing."""
+    """Batch-summed MLP weight gradients; rows with ok=False contribute nothing.
+
+    As in mlp_backward, the layer-0 input gradient (a (n, 2m) product that
+    nothing reads) is skipped.
+    """
     g = np.array(gz, dtype=np.float64)
     g[~ok] = 0.0
     grads = [None] * len(p.weights)
@@ -328,7 +358,8 @@ def mlp_backward_batch(p: MlpParams, activations: list, gz: np.ndarray, ok: np.n
         if i < len(p.weights) - 1:
             g = g * (activations[i + 1] > 0.0)
         grads[i] = g.T @ activations[i]
-        g = g @ p.weights[i]
+        if i > 0:
+            g = g @ p.weights[i]
     return grads
 
 

@@ -43,18 +43,29 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
+# Adam walks each flattened parameter in blocks of this many float64 values,
+# so the element-wise passes over a block stay in L2 cache.
+_ADAM_BLOCK = 1 << 14
+
+
 @dataclass
 class OptimizerState:
-    """Adam accumulators, one pair per parameter array."""
+    """Adam accumulators, one pair per parameter array, plus two scratch rows.
+
+    ``m`` and ``v`` are C-contiguous zeros shaped like their parameters;
+    ``scratch`` holds the two (_ADAM_BLOCK,) rows that ``adam_step`` reuses
+    for every block of every step, so a step allocates nothing.
+    """
 
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     step: int = 0
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, _ADAM_BLOCK)))
 
     @classmethod
     def for_params(cls, params: list) -> "OptimizerState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        return cls(m=[np.zeros(p.shape) for p in params],
+                   v=[np.zeros(p.shape) for p in params])
 
 
 @dataclass
@@ -83,22 +94,52 @@ def split_dataset(n: int, ratio: float, seed: int):
 
 
 def adam_step(state: OptimizerState, params: list, grads: list, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+    """One bias-corrected Adam update (Kingma & Ba), in place on p, m and v.
+
+    Each flattened parameter is walked in blocks of _ADAM_BLOCK values, and
+    every element-wise pass of a block writes into ``state.scratch``, so the
+    step allocates no parameter-sized temporaries.  The per-element operation
+    order is that of the textbook form
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps)
+
+    so the result is bit-identical to it.  ``grads`` are only read.
+    Parameters must be C-contiguous: a flattening copy would be updated
+    instead of the parameter, so other layouts raise ValueError.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state length mismatch")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
+        if not p.flags.c_contiguous:
+            raise ValueError("parameters must be C-contiguous")
     state.step += 1
     t = state.step
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
+    b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, p.size)
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = state.scratch[0, :hi - lo], state.scratch[1, :hi - lo]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1.0 - b1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, gb, out=a)
+            np.multiply(a, 1.0 - b2, out=a)
+            np.add(vb, a, out=vb)
+            np.divide(mb, c1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(pb, a, out=pb)
 
 
 def _param_arrays(model) -> list:

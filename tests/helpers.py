@@ -97,3 +97,21 @@ def brute_trustworthiness(positions: np.ndarray, chart: np.ndarray, k: int) -> f
 def brute_continuity(positions: np.ndarray, chart: np.ndarray, k: int) -> float:
     """Continuity is trustworthiness with the two spaces swapped."""
     return brute_trustworthiness(chart, positions, k)
+
+
+def adam_oracle(state, params, grads, cfg) -> None:
+    """Textbook bias-corrected Adam (Kingma & Ba), one array expression per line.
+
+    Same signature and state fields as ``trainer.adam_step``; it allocates
+    freely and updates ``state.m``, ``state.v`` and the parameters in place.
+    """
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - cfg.beta1 ** t
+    c2 = 1.0 - cfg.beta2 ** t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)

@@ -246,6 +246,21 @@ def test_backward_batch_ignores_degenerate_rows():
     assert np.allclose(g_z, e_z, atol=1e-15)
 
 
+def test_backward_batch_masks_non_finite_rows():
+    p = _random_params(54, 10, 7, 3)
+    gz = SplitMix64(55).normals(8).reshape(4, 2)
+    grads = []
+    for bad in (np.nan, 0.0):
+        channels = _random_channels(56, 4, 10)
+        channels[2] = bad
+        _, cache = forward_batch(p, channels)
+        assert cache.ok.tolist() == [True, True, False, True]
+        grads.append(backward_batch(p, cache, channels, gz))
+    for g_nan, g_zero in zip(*grads):
+        assert np.isfinite(g_nan).all()
+        assert np.array_equal(g_nan, g_zero)
+
+
 # ---------------------------------------------------------------------------
 # initializers
 

@@ -1,12 +1,15 @@
 """Dataset split, Adam updates, and the minibatch triplet trainer."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from chanchart import trainer
+from chanchart.config import preset
 from chanchart.encoder import EncoderParams, init_random, init_smart, mlp_init
-from chanchart.rng import SplitMix64
+from chanchart.rng import SplitMix64, substream
 from chanchart.synthgen import (
     ChannelSet,
     generate_trajectory,
@@ -14,6 +17,7 @@ from chanchart.synthgen import (
     synthesize_channels,
 )
 from chanchart.trainer import (
+    _ADAM_BLOCK,
     OptimizerState,
     TrainConfig,
     adam_step,
@@ -21,6 +25,7 @@ from chanchart.trainer import (
     train,
 )
 from chanchart.triplet import MiningConfig
+from helpers import adam_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +111,39 @@ def test_adam_rejects_mismatches():
         adam_step(state, [p], [np.zeros((2, 2))], cfg)
 
 
+@pytest.mark.parametrize("shapes", [
+    [(100,)],
+    [(_ADAM_BLOCK,)],
+    [(_ADAM_BLOCK + 1,)],
+    [(3, 5), (2, _ADAM_BLOCK // 2 + 7), (), (4, 3, 2)],
+], ids=["below-block", "one-block", "block-plus-one", "mixed"])
+def test_adam_is_bitwise_the_textbook_update(shapes):
+    cfg = TrainConfig(learning_rate=3e-3)
+    rng = SplitMix64(7)
+    params = [rng.normals(max(1, math.prod(s))).reshape(s) for s in shapes]
+    ref = [p.copy() for p in params]
+    state = OptimizerState.for_params(params)
+    ref_state = OptimizerState.for_params(ref)
+    for _ in range(5):
+        grads = [rng.normals(max(1, math.prod(s))).reshape(s) for s in shapes]
+        kept = [g.copy() for g in grads]
+        adam_step(state, params, grads, cfg)
+        adam_oracle(ref_state, ref, grads, cfg)
+        for g, g0 in zip(grads, kept):
+            assert np.array_equal(g, g0)
+        for got, want in zip(params + state.m + state.v, ref + ref_state.m + ref_state.v):
+            assert np.array_equal(got, want)
+    assert state.step == ref_state.step == 5
+
+
+def test_adam_rejects_non_contiguous_parameter():
+    p = np.zeros((6, 4)).T
+    state = OptimizerState.for_params([p])
+    with pytest.raises(ValueError):
+        adam_step(state, [p], [np.ones((4, 6))], TrainConfig())
+    assert not p.any()
+
+
 # ---------------------------------------------------------------------------
 # end-to-end training on a small synthetic set
 
@@ -175,6 +213,52 @@ def test_train_counts_skipped_degenerate_triplets():
     report = train(model, broken, cfg, mining)
     assert report.skipped > 0
     assert all(math.isfinite(l) for l in report.epoch_losses)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    cfg = preset("tiny")
+    traj, radio, scat, _ = cfg.scenario_objects()
+    cs = synthesize_channels(generate_trajectory(traj), radio, scat,
+                             sample_rate=traj.sample_rate)
+    return cfg, cs
+
+
+def _tiny_model(cfg, cs, kind: str):
+    e = cfg.encoder
+    if kind == "hybrid":
+        return init_random(cs.channels.shape[1], e.n_init, e.k, e.d_out, cfg.seeds["init"])
+    return mlp_init(cs.channels.shape[1], cfg.seeds["init"], d_out=e.d_out)
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "mlp"])
+def test_train_is_bitwise_the_textbook_adam(tiny, kind, monkeypatch):
+    cfg, cs = tiny
+    tcfg = dataclasses.replace(cfg.train_config(), epochs=2)
+    mining = cfg.mining_config(cs.sample_rate)
+    shipped = _tiny_model(cfg, cs, kind)
+    report = train(shipped, cs, tcfg, mining)
+    monkeypatch.setattr(trainer, "adam_step", adam_oracle)
+    textbook = _tiny_model(cfg, cs, kind)
+    ref = train(textbook, cs, tcfg, mining)
+    assert report.epoch_losses == ref.epoch_losses
+    for got, want in zip(trainer._param_arrays(shipped), trainer._param_arrays(textbook)):
+        assert np.array_equal(got, want)
+
+
+def test_train_survives_a_nan_channel_row(tiny):
+    cfg, cs = tiny
+    train_idx, _ = split_dataset(cs.channels.shape[0], cfg.training.split_ratio,
+                                 substream(cfg.seeds["training"], 0))
+    channels = cs.channels.copy()
+    channels[train_idx[train_idx.size // 2]] = np.nan
+    broken = ChannelSet(channels=channels, positions=cs.positions,
+                        sample_rate=cs.sample_rate)
+    model = _tiny_model(cfg, cs, "hybrid")
+    report = train(model, broken, cfg.train_config(), cfg.mining_config(cs.sample_rate))
+    assert report.skipped > 0
+    assert all(math.isfinite(l) for l in report.epoch_losses)
+    assert all(np.isfinite(a).all() for a in trainer._param_arrays(model))
 
 
 def test_train_epochs_zero_is_a_no_op():
