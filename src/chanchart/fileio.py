@@ -22,6 +22,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -37,7 +38,7 @@ KIND_MLP = 1
 
 
 class FileFormatError(ValueError):
-    """Raised when a dataset/model file is truncated, oversized, or mislabeled."""
+    """Raised when a dataset/model file is truncated, oversized, mislabeled, or non-finite."""
 
 
 def _read_exact(fh, n: int, path: str, what: str) -> bytes:
@@ -52,14 +53,36 @@ def _read_u64(fh, count: int, path: str, what: str) -> tuple:
     return struct.unpack(f"<{count}Q", _read_exact(fh, 8 * count, path, what))
 
 
-def _read_f64(fh, count: int, path: str, what: str) -> np.ndarray:
-    buf = _read_exact(fh, 8 * count, path, what)
-    return np.frombuffer(buf, dtype="<f8").copy()
+def _check_size(fh, payload: int, path: str) -> None:
+    """Compare the file length with the header read so far plus ``payload`` bytes.
+
+    Runs before any payload is allocated, so a header claiming terabytes
+    fails here instead of in the allocator.
+    """
+    expected = fh.tell() + payload
+    actual = os.fstat(fh.fileno()).st_size
+    if actual < expected:
+        raise FileFormatError(f"{path}: truncated: header implies {expected} bytes, "
+                              f"file has {actual}")
+    if actual > expected:
+        raise FileFormatError(f"{path}: trailing bytes after expected end of file "
+                              f"(header implies {expected} bytes, file has {actual})")
 
 
-def _expect_end(fh, path: str) -> None:
-    if fh.read(1):
-        raise FileFormatError(f"{path}: trailing bytes after expected end of file")
+def _read_f64(fh, shape: tuple, path: str, what: str) -> np.ndarray:
+    """Read little-endian doubles straight into a new array; reject non-finite values."""
+    out = np.empty(shape, dtype="<f8")
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise FileFormatError(f"{path}: truncated while reading {what} "
+                              f"(wanted {out.nbytes} bytes, got {got})")
+    if not np.isfinite(out).all():
+        raise FileFormatError(f"{path}: non-finite value in {what}")
+    return out
+
+
+def _write_f64(fh, arr: np.ndarray) -> None:
+    fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 # ---------------------------------------------------------------------------
@@ -67,21 +90,26 @@ def _expect_end(fh, path: str) -> None:
 
 
 def write_dataset(path: str, cs: ChannelSet) -> None:
-    n, m = cs.channels.shape
+    channels = np.ascontiguousarray(cs.channels, dtype=np.complex128)
     positions = np.asarray(cs.positions, dtype=np.float64)
-    p = positions.shape[1]
-    interleaved = np.empty((n, m, 2), dtype=np.float64)
-    interleaved[:, :, 0] = cs.channels.real
-    interleaved[:, :, 1] = cs.channels.imag
+    (n, m), p = channels.shape, positions.shape[1]
     with open(path, "wb") as fh:
         fh.write(MAGIC_DATASET)
         fh.write(struct.pack("<3Q", n, m, p))
-        fh.write(positions.astype("<f8", copy=False).tobytes())
-        fh.write(interleaved.astype("<f8", copy=False).tobytes())
+        _write_f64(fh, positions)
+        # complex128 is (re, im) pairs of doubles: its float64 view is the
+        # interleaved channel block, written without a copy
+        _write_f64(fh, channels.view(np.float64))
 
 
 def read_dataset(path: str, sample_rate: float = 7.0) -> ChannelSet:
     """Load a ``CCD1`` file.
+
+    The header is checked against the file length before anything is
+    allocated, and non-finite positions or channel entries are rejected, all
+    as ``FileFormatError``.  The channel doubles are read straight into one
+    ``(N, M, 2)`` buffer whose complex128 view is returned, so the channels
+    are bit-for-bit the file's doubles and C-contiguous.
 
     The file does not store the sampling rate (it belongs to the experiment
     config, not the measurements); pass it in when triplet mining will need
@@ -94,10 +122,9 @@ def read_dataset(path: str, sample_rate: float = 7.0) -> ChannelSet:
         n, m, p = _read_u64(fh, 3, path, "header")
         if n < 1 or m < 1 or p not in (2, 3):
             raise FileFormatError(f"{path}: implausible header N={n} M={m} P={p}")
-        positions = _read_f64(fh, n * p, path, "positions").reshape(n, p)
-        flat = _read_f64(fh, n * m * 2, path, "channels").reshape(n, m, 2)
-        _expect_end(fh, path)
-    channels = flat[:, :, 0] + 1j * flat[:, :, 1]
+        _check_size(fh, 8 * n * (p + 2 * m), path)
+        positions = _read_f64(fh, (n, p), path, "positions")
+        channels = _read_f64(fh, (n, m, 2), path, "channels").view("<c16").reshape(n, m)
     return ChannelSet(channels=channels, positions=positions, sample_rate=sample_rate)
 
 
@@ -112,20 +139,25 @@ def write_model(path: str, model) -> None:
             fh.write(struct.pack("<Q", KIND_HYBRID))
             fh.write(struct.pack("<4Q", model.m, model.n_init, model.d_out, model.k))
             for arr in (model.d_re, model.d_im, model.z):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                _write_f64(fh, arr)
         elif isinstance(model, MlpParams):
             fh.write(struct.pack("<Q", KIND_MLP))
             dims = [model.weights[0].shape[1]] + [w.shape[0] for w in model.weights]
             fh.write(struct.pack("<Q", len(model.weights)))
             fh.write(struct.pack(f"<{len(dims)}Q", *dims))
             for w in model.weights:
-                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+                _write_f64(fh, w)
         else:
             raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
 def read_model(path: str):
-    """Load a ``CCM1`` file into EncoderParams or MlpParams."""
+    """Load a ``CCM1`` file into EncoderParams or MlpParams.
+
+    As with ``read_dataset``, the header is checked against the file length
+    before any weights are allocated, and non-finite weights are rejected,
+    all as ``FileFormatError``.
+    """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
         if magic != MAGIC_MODEL:
@@ -136,10 +168,10 @@ def read_model(path: str):
             if m < 1 or n_init < 1 or d_out < 1 or not (1 <= k <= n_init):
                 raise FileFormatError(f"{path}: implausible hybrid header "
                                       f"M={m} N_init={n_init} D_out={d_out} k={k}")
-            d_re = _read_f64(fh, m * n_init, path, "d_re").reshape(m, n_init)
-            d_im = _read_f64(fh, m * n_init, path, "d_im").reshape(m, n_init)
-            z = _read_f64(fh, d_out * n_init, path, "z").reshape(d_out, n_init)
-            _expect_end(fh, path)
+            _check_size(fh, 8 * n_init * (2 * m + d_out), path)
+            d_re = _read_f64(fh, (m, n_init), path, "d_re")
+            d_im = _read_f64(fh, (m, n_init), path, "d_im")
+            z = _read_f64(fh, (d_out, n_init), path, "z")
             return EncoderParams(d_re=d_re, d_im=d_im, z=z, k=int(k))
         if kind == KIND_MLP:
             (count,) = _read_u64(fh, 1, path, "layer count")
@@ -148,10 +180,9 @@ def read_model(path: str):
             dims = _read_u64(fh, count + 1, path, "layer dims")
             if any(d < 1 for d in dims):
                 raise FileFormatError(f"{path}: implausible layer dims {dims}")
-            weights = []
-            for lo, hi in zip(dims, dims[1:]):
-                weights.append(_read_f64(fh, hi * lo, path, "weights").reshape(hi, lo))
-            _expect_end(fh, path)
+            pairs = list(zip(dims, dims[1:]))
+            _check_size(fh, 8 * sum(lo * hi for lo, hi in pairs), path)
+            weights = [_read_f64(fh, (hi, lo), path, "weights") for lo, hi in pairs]
             return MlpParams(weights=weights)
         raise FileFormatError(f"{path}: unknown model kind {kind}")
 

@@ -2,9 +2,12 @@
 
 Pipeline: symmetrized k-nearest-neighbor graph, all-pairs shortest paths
 (Dijkstra per source, with minimum-cross-edge bridging when the graph falls
-apart into components), then classical multidimensional scaling via a cyclic
-Jacobi eigensolver.  Only used at encoder-initialization scale (a few
-hundred points), so everything favors determinism over asymptotics.
+apart into components), then classical multidimensional scaling on LAPACK's
+symmetric eigensolver (``numpy.linalg.eigh``).  Only used at
+encoder-initialization scale (a few hundred points), so everything favors
+determinism over asymptotics.  The pure-Python cyclic Jacobi solver
+``jacobi_eigh`` is kept as the reference that the tests check MDS against;
+the pipeline does not call it.
 """
 
 from __future__ import annotations
@@ -144,6 +147,9 @@ def _dijkstra(g: NeighborGraph, src: int) -> np.ndarray:
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     """Eigendecomposition of a dense symmetric matrix by cyclic Jacobi rotations.
 
+    Reference solver only: ``classical_mds`` runs on ``numpy.linalg.eigh``,
+    and the tests compare it against this independent implementation.
+
     Sweeps row by row until the off-diagonal Frobenius norm drops below
     tol * ||a||_F (or max_sweeps is hit).  Returns (eigenvalues, eigenvectors)
     unsorted, eigenvectors in columns.
@@ -190,9 +196,10 @@ def classical_mds(dist: np.ndarray, d_out: int) -> Embedding:
     """Classical MDS of a symmetric zero-diagonal distance matrix.
 
     Double-centers the squared distances, takes the top d_out eigenpairs of
-    the resulting Gram matrix, and scales eigenvectors by sqrt(max(eig, 0)).
-    Each eigenvector's sign is fixed so its largest-magnitude entry is
-    positive, making the output reproducible bit-for-bit.
+    the resulting Gram matrix (LAPACK ``eigh``), and scales eigenvectors by
+    sqrt(max(eig, 0)).  Each eigenvector's sign is fixed so its
+    largest-magnitude entry is positive, making the output reproducible
+    bit-for-bit on one LAPACK build; another build may differ at ULP level.
     """
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
@@ -206,7 +213,7 @@ def classical_mds(dist: np.ndarray, d_out: int) -> Embedding:
     b = -0.5 * (d2 - row[:, None] - row[None, :] + grand)
     upper = np.triu(b)
     b = upper + np.triu(b, 1).T
-    vals, vecs = jacobi_eigh(b)
+    vals, vecs = np.linalg.eigh(b)
     order = np.argsort(-vals, kind="stable")[:d_out]
     top_vals = vals[order]
     coords = vecs[:, order] * np.sqrt(np.clip(top_vals, 0.0, None))[None, :]

@@ -5,6 +5,8 @@ loops and well-known textbook formulations -- so that agreement between an
 oracle and the fast implementation is meaningful evidence, not a tautology.
 """
 
+import struct
+
 import numpy as np
 
 
@@ -115,3 +117,20 @@ def adam_oracle(state, params, grads, cfg) -> None:
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * (g * g)
         p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+
+
+def ccd1_bytes(channels: np.ndarray, positions: np.ndarray) -> bytes:
+    """A ``CCD1`` dataset file packed one double at a time with ``struct``.
+
+    Header, then positions sample-major, then each channel entry as its real
+    part followed by its imaginary part, all little-endian.
+    """
+    n, m = channels.shape
+    parts = [b"CCD1", struct.pack("<3Q", n, m, positions.shape[1])]
+    for row in positions:
+        for x in row:
+            parts.append(struct.pack("<d", float(x)))
+    for row in channels:
+        for z in row:
+            parts.append(struct.pack("<2d", float(z.real), float(z.imag)))
+    return b"".join(parts)

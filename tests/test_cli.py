@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: pipeline verbs, determinism, exit codes."""
 
 import json
+import struct
 
 import pytest
 
+from chanchart import encoder, fileio
 from chanchart.cli import main
 from chanchart.config import derive_seeds
+from chanchart.rng import SplitMix64
 
 
 def _small_doc(n_subcarriers=4, n_init=12, k=3, d_out=2, init="random"):
@@ -227,3 +230,84 @@ def test_config_and_preset_are_mutually_exclusive(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["show-config"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# corrupted input files
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """A tiny-preset dataset plus a hybrid and a small MLP model that fit it."""
+    d = tmp_path_factory.mktemp("tiny")
+    data = str(d / "data.bin")
+    assert main(["generate", "--preset", "tiny", "--out", data]) == 0
+    m = fileio.read_dataset(data).channels.shape[1]
+    hybrid, mlp = str(d / "hybrid.bin"), str(d / "mlp.bin")
+    fileio.write_model(hybrid, encoder.init_random(m, 30, 5, 2, seed=1))
+    fileio.write_model(mlp, encoder.mlp_init(m, seed=2, hidden=(8, 4)))
+    return {"data": data, "hybrid": hybrid, "mlp": mlp}
+
+
+def _header_fields(raw: bytes) -> list:
+    """(offset, value) of every u64 header field of a CCD1 or CCM1 file."""
+    if raw[:4] == b"CCD1":
+        return [(4 + 8 * i, v) for i, v in enumerate(struct.unpack_from("<3Q", raw, 4))]
+    (kind,) = struct.unpack_from("<Q", raw, 4)
+    if kind == 0:
+        return [(4 + 8 * i, v) for i, v in enumerate(struct.unpack_from("<5Q", raw, 4))]
+    (count,) = struct.unpack_from("<Q", raw, 12)
+    return [(4 + 8 * i, v) for i, v in enumerate(struct.unpack_from(f"<{count + 3}Q", raw, 4))]
+
+
+def _corruptions(raw: bytes, rng: SplitMix64, n_cuts: int):
+    """Truncations at header boundaries and random points, then header rewrites.
+
+    A rewrite replaces one u64 field with an edge value, a neighbour of the
+    true value or a random value.  The hybrid ``k`` field (offset 36) only
+    gets values outside [1, N_init], since any other k is a valid model.
+    """
+    fields = _header_fields(raw)
+    cuts = {0, 2, 4} | {off for off, _ in fields} | {off + 8 for off, _ in fields}
+    cuts |= {len(raw) - 1, len(raw) - 8}
+    while len(cuts) < n_cuts:
+        cuts.add(rng.randbelow(len(raw)))
+    for cut in sorted(cuts):
+        yield f"truncated to {cut} bytes", raw[:cut]
+    yield "bad magic", b"CCX1" + raw[4:]
+    is_hybrid = raw[:4] == b"CCM1" and fields[0][1] == 0
+    for off, old in fields:
+        values = {v % (1 << 64) for v in (0, old - 1, old + 1, 2 * old, 1 << 32, 1 << 40,
+                                          1 << 63, (1 << 64) - 1, rng.next_u64())}
+        if is_hybrid and off == 36:
+            values = {v for v in values if not 1 <= v <= fields[2][1]}
+        for v in sorted(values - {old}):
+            yield f"u64 at {off}: {old} -> {v}", raw[:off] + struct.pack("<Q", v) + raw[off + 8:]
+
+
+def test_corrupted_files_fail_with_one_json_line(tiny_files, tmp_path, capsys):
+    rng = SplitMix64(404)
+    bad = str(tmp_path / "bad.bin")
+    out = str(tmp_path / "out")
+    cases = 0
+    for target, verbs in (("data", ("init", "eval")), ("hybrid", ("eval", "train")),
+                          ("mlp", ("eval", "chart"))):
+        raw = open(tiny_files[target], "rb").read()
+        for i, (what, blob) in enumerate(_corruptions(raw, rng, n_cuts=24)):
+            with open(bad, "wb") as fh:
+                fh.write(blob)
+            files = dict(tiny_files, **{target: bad})
+            verb = verbs[i % 2]
+            argv = [verb, "--preset", "tiny", "--data", files["data"], "--out", out]
+            if verb != "init":
+                model = files["mlp" if target == "mlp" else "hybrid"]
+                argv += ["--model-in" if verb == "train" else "--model", model]
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err.splitlines()
+            assert code in (2, 3, 4), (target, what, code)
+            assert len(err) == 1, (target, what, err)
+            doc = json.loads(err[0])
+            assert set(doc) == {"error", "detail"}, (target, what, doc)
+            cases += 1
+    assert 100 <= cases <= 200

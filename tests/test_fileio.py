@@ -1,6 +1,7 @@
 """Binary dataset/model formats and text artifacts (CSV, SVG)."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from chanchart.fileio import (
 )
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import ChannelSet
+from helpers import ccd1_bytes
 
 
 def _random_channelset(n=7, m=5, p=2, seed=0):
@@ -111,6 +113,81 @@ def test_dataset_rejects_implausible_header(tmp_path):
         read_dataset(str(path))
 
 
+def _signed_zero_channelset():
+    """Channels whose entries include -0.0, subnormal and extreme finite parts."""
+    cs = _random_channelset(n=5, m=4, p=3, seed=11)
+    ch = cs.channels.copy()
+    ch[0, 0] = complex(-0.0, -0.0)
+    ch[1, 1] = complex(0.0, -0.0)
+    ch[2, 2] = complex(-0.0, 5e-324)
+    ch[3, 3] = complex(-1.7976931348623157e308, 2.2250738585072014e-308)
+    return ChannelSet(channels=ch, positions=cs.positions, sample_rate=3.0)
+
+
+def test_write_dataset_matches_reference_writer(tmp_path):
+    cs = _signed_zero_channelset()
+    path = tmp_path / "d.bin"
+    write_dataset(str(path), cs)
+    assert path.read_bytes() == ccd1_bytes(cs.channels, cs.positions)
+    # non-contiguous inputs are written in row-major order all the same
+    strided = ChannelSet(channels=np.asfortranarray(cs.channels),
+                         positions=np.asfortranarray(cs.positions))
+    write_dataset(str(path), strided)
+    assert path.read_bytes() == ccd1_bytes(cs.channels, cs.positions)
+
+
+def test_read_dataset_returns_the_files_doubles(tmp_path):
+    cs = _signed_zero_channelset()
+    path = tmp_path / "d.bin"
+    path.write_bytes(ccd1_bytes(cs.channels, cs.positions))
+    back = read_dataset(str(path))
+    assert back.channels.dtype == np.complex128
+    assert back.channels.flags.c_contiguous and back.channels.flags.writeable
+    assert back.positions.flags.c_contiguous and back.positions.flags.writeable
+    # bit patterns, so the sign of every zero counts
+    assert np.array_equal(back.channels.view(np.uint64), cs.channels.view(np.uint64))
+    assert np.array_equal(back.positions.view(np.uint64), cs.positions.view(np.uint64))
+
+
+@pytest.mark.parametrize("where, value", [("channels", np.nan), ("channels", -np.inf),
+                                          ("positions", np.inf), ("positions", np.nan)])
+def test_dataset_rejects_non_finite_values(tmp_path, where, value):
+    cs = _random_channelset()
+    if where == "channels":
+        cs.channels[3, 2] = complex(0.5, value)
+    else:
+        cs.positions[6, 1] = value
+    path = str(tmp_path / "d.bin")
+    write_dataset(path, cs)
+    with pytest.raises(FileFormatError, match=f"non-finite value in {where}"):
+        read_dataset(path)
+
+
+def _assert_rejected_without_allocating(read, path, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match=match):
+            read(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_header_claiming_terabytes_is_rejected_before_allocating(tmp_path):
+    # 92 bytes whose header implies 8 * 2^40 * (2 + 2^21) bytes of payload
+    path = tmp_path / "huge.bin"
+    path.write_bytes(MAGIC_DATASET + struct.pack("<3Q", 1 << 40, 1 << 20, 2) + bytes(64))
+    assert path.stat().st_size == 92
+    _assert_rejected_without_allocating(read_dataset, path, "truncated")
+
+    path.write_bytes(MAGIC_MODEL + struct.pack("<5Q", 0, 1 << 30, 1 << 30, 2, 5) + bytes(64))
+    _assert_rejected_without_allocating(read_model, path, "truncated")
+
+    path.write_bytes(MAGIC_MODEL + struct.pack("<5Q", 1, 2, 1 << 40, 1 << 40, 2) + bytes(64))
+    _assert_rejected_without_allocating(read_model, path, "truncated")
+
+
 # ---------------------------------------------------------------------------
 # model round trips
 
@@ -165,6 +242,20 @@ def test_model_rejects_corruption(tmp_path):
     bad.write_bytes(MAGIC_MODEL + struct.pack("<5Q", 0, 4, 3, 2, 5))
     with pytest.raises(FileFormatError, match="implausible"):
         read_model(str(bad))
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "mlp"])
+def test_model_rejects_non_finite_weights(tmp_path, kind):
+    if kind == "hybrid":
+        model = init_random(4, 3, 2, 2, seed=3)
+        model.z[1, 2] = np.nan
+    else:
+        model = mlp_init(6, seed=2, hidden=(5,))
+        model.weights[1][0, 4] = -np.inf
+    path = str(tmp_path / "m.bin")
+    write_model(path, model)
+    with pytest.raises(FileFormatError, match="non-finite"):
+        read_model(path)
 
 
 def test_write_model_rejects_unknown_type(tmp_path):

@@ -1,10 +1,12 @@
-"""From-scratch Isomap: kNN graph, Dijkstra geodesics, Jacobi MDS."""
+"""From-scratch Isomap: kNN graph, Dijkstra geodesics, classical MDS (LAPACK eigh,
+checked against the reference Jacobi solver)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from chanchart.config import preset
 from chanchart.isomap import (
     classical_mds,
     geodesic_distances,
@@ -12,7 +14,9 @@ from chanchart.isomap import (
     jacobi_eigh,
     knn_graph,
 )
+from chanchart.metricspace import distance_matrix
 from chanchart.rng import SplitMix64
+from chanchart.synthgen import generate_trajectory, synthesize_channels
 from helpers import floyd_warshall, procrustes_residual
 
 
@@ -154,6 +158,49 @@ def test_mds_recovers_planar_configuration():
         assert procrustes_residual(pts, emb.coords) < 1e-18
         # distances themselves are reproduced
         assert np.allclose(_euclidean(emb.coords), _euclidean(pts), atol=1e-9)
+
+
+def _jacobi_mds(dist: np.ndarray, d_out: int) -> np.ndarray:
+    """Classical MDS through the reference Jacobi solver.
+
+    Centres with the explicit J = I - 11^T/n projector, then applies the same
+    selection (top d_out eigenvalues), sqrt(max(eig, 0)) scaling and sign rule
+    (largest-magnitude entry positive) as ``classical_mds``.
+    """
+    n = dist.shape[0]
+    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    b = -0.5 * j @ (dist * dist) @ j
+    vals, vecs = jacobi_eigh((b + b.T) / 2.0)
+    order = np.argsort(-vals, kind="stable")[:d_out]
+    coords = vecs[:, order] * np.sqrt(np.clip(vals[order], 0.0, None))[None, :]
+    for c in range(d_out):
+        if coords[int(np.argmax(np.abs(coords[:, c]))), c] < 0:
+            coords[:, c] *= -1.0
+    return coords
+
+
+def test_mds_matches_jacobi_reference_on_point_sets():
+    for seed, n, dim in [(0, 30, 2), (1, 40, 2), (2, 25, 3), (3, 35, 3)]:
+        d = _euclidean(_random_points(seed, n, dim))
+        emb = classical_mds(d, dim)
+        assert np.abs(emb.coords - _jacobi_mds(d, dim)).max() < 1e-10
+
+
+def test_mds_matches_jacobi_reference_on_smart_init_geodesics():
+    # the geodesic matrix init_smart embeds on the tiny preset
+    cfg = preset("tiny")
+    traj, radio, scat, _ = cfg.scenario_objects()
+    cs = synthesize_channels(generate_trajectory(traj), radio, scat,
+                             sample_rate=traj.sample_rate)
+    e = cfg.encoder
+    rows = cs.channels[SplitMix64(cfg.seeds["init"]).sample(cs.channels.shape[0], e.n_init)]
+    dist = distance_matrix(rows)
+    geo = geodesic_distances(knn_graph(dist, e.k_iso), bridge_dist=dist)
+    emb = classical_mds(geo, e.d_out)
+    assert np.abs(emb.coords - _jacobi_mds(geo, e.d_out)).max() < 1e-10
+    again = classical_mds(geo, e.d_out)
+    assert np.array_equal(emb.coords, again.coords)
+    assert np.array_equal(emb.eigenvalues, again.eigenvalues)
 
 
 def test_mds_eigenvalues_sorted_and_output_centered():
