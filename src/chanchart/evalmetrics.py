@@ -5,6 +5,10 @@ not true spatial neighbors; continuity penalizes true neighbors missing
 from chart neighborhoods.  Both use exact integer rank arithmetic so that
 independent implementations agree to the last bit, and are reported over a
 grid of neighborhood sizes expressed as fractions of the evaluated set.
+
+Scoring ranks both spaces in blocks of rows, so its memory stays fixed
+however many points are evaluated, and scores every K of the grid from one
+pass over the blocks (Venna & Kaski, ICANN 2001).
 """
 
 from __future__ import annotations
@@ -18,6 +22,25 @@ from .encoder import chart_batch
 
 DEFAULT_K_GRID = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.10)
 
+# Scoring ranks about this many (row, point) entries at a time.
+RANK_ENTRIES = 1 << 16
+
+
+def _rank_rows(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of rank_matrix(x), for float64 points x."""
+    n = x.shape[0]
+    diff = x[lo:hi, None, :] - x[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    order = np.argsort(sq, axis=1, kind="stable")
+    rows = np.arange(hi - lo)
+    cols = np.arange(lo, hi)
+    pos = np.empty((hi - lo, n), dtype=np.int64)
+    pos[rows[:, None], order] = np.arange(n)[None, :]
+    self_pos = pos[rows, cols]
+    ranks = pos + 1 - (pos > self_pos[:, None])
+    ranks[rows, cols] = 0
+    return ranks
+
 
 def rank_matrix(points: np.ndarray) -> np.ndarray:
     """Entry (i, j), i != j: rank of j by ascending distance to i (nearest = 1).
@@ -25,22 +48,14 @@ def rank_matrix(points: np.ndarray) -> np.ndarray:
     Ranks run over the other n-1 points; distance ties break toward the
     lower index (stable order).  Ranking uses squared Euclidean distances,
     which is order-equivalent.  The diagonal is set to 0 and carries no
-    meaning.
+    meaning.  This is the whole n x n matrix; the scores never build it,
+    they rank the same rows a block at a time.
     """
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least two points to rank")
-    diff = x[:, None, :] - x[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    order = np.argsort(sq, axis=1, kind="stable")
-    rows = np.arange(n)
-    pos = np.empty((n, n), dtype=np.int64)
-    pos[rows[:, None], order] = np.arange(n)[None, :]
-    self_pos = pos[rows, rows]
-    ranks = pos + 1 - (pos > self_pos[:, None])
-    ranks[rows, rows] = 0
-    return ranks
+    return _rank_rows(x, 0, n)
 
 
 def _max_k(n: int) -> int:
@@ -52,29 +67,57 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"K={k} outside [1, {_max_k(n)}] for n={n}")
 
 
-def _score(rank_ranks: np.ndarray, nn_ranks: np.ndarray, k: int) -> float:
-    """1 - normalized penalty over points in the nn-space K-NN but not the
-    rank-space K-NN, each costing its rank-space rank minus K."""
-    n = rank_ranks.shape[0]
-    mask = (nn_ranks >= 1) & (nn_ranks <= k) & (rank_ranks > k)
-    penalty = int(np.sum((rank_ranks - k) * mask))
-    return 1.0 - (2.0 * penalty) / (n * k * (2 * n - 3 * k - 1))
+def _penalties(rank_ranks: np.ndarray, nn_ranks: np.ndarray, ks) -> list:
+    """Per K, the summed rank-space excess (rank - K) of each row's nn-space
+    K nearest that are not among its rank-space K nearest.
+
+    Only entries with nn-space rank in [1, max(ks)] can count for any K, so
+    those are gathered once and every K is scored from them.
+    """
+    near = (nn_ranks >= 1) & (nn_ranks <= max(ks, default=0))
+    nn = nn_ranks[near]
+    ranks = rank_ranks[near]
+    return [int(np.sum(ranks - k, where=(nn <= k) & (ranks > k))) for k in ks]
+
+
+def _scores(positions: np.ndarray, chart: np.ndarray, ks) -> list:
+    """(trustworthiness, continuity) for each K in ks.
+
+    Both spaces are ranked in blocks of about RANK_ENTRIES entries; the
+    penalties are exact integers summed over the blocks, so the result does
+    not depend on the block size.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    cht = np.asarray(chart, dtype=np.float64)
+    n = pos.shape[0]
+    if cht.shape[0] != n:
+        raise ValueError("positions and chart row counts differ")
+    for k in ks:
+        _check_k(n, k)
+    tw_pen = [0] * len(ks)
+    ct_pen = [0] * len(ks)
+    step = max(1, RANK_ENTRIES // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rank_pos = _rank_rows(pos, lo, hi)
+        rank_chart = _rank_rows(cht, lo, hi)
+        tw_pen = [a + b for a, b in zip(tw_pen, _penalties(rank_pos, rank_chart, ks))]
+        ct_pen = [a + b for a, b in zip(ct_pen, _penalties(rank_chart, rank_pos, ks))]
+
+    def score(penalty: int, k: int) -> float:
+        return 1.0 - (2.0 * penalty) / (n * k * (2 * n - 3 * k - 1))
+
+    return [(score(t, k), score(c, k)) for t, c, k in zip(tw_pen, ct_pen, ks)]
 
 
 def trustworthiness(positions: np.ndarray, chart: np.ndarray, k: int) -> float:
     """Penalizes false chart neighbors, ranked by their position-space rank."""
-    if positions.shape[0] != chart.shape[0]:
-        raise ValueError("positions and chart row counts differ")
-    _check_k(positions.shape[0], k)
-    return _score(rank_matrix(positions), rank_matrix(chart), k)
+    return _scores(positions, chart, [k])[0][0]
 
 
 def continuity(positions: np.ndarray, chart: np.ndarray, k: int) -> float:
     """Penalizes missing true neighbors, ranked by their chart-space rank."""
-    if positions.shape[0] != chart.shape[0]:
-        raise ValueError("positions and chart row counts differ")
-    _check_k(positions.shape[0], k)
-    return _score(rank_matrix(chart), rank_matrix(positions), k)
+    return _scores(positions, chart, [k])[0][1]
 
 
 @dataclass
@@ -99,22 +142,21 @@ def evaluate(model, cs, indices, k_grid=DEFAULT_K_GRID) -> MetricsReport:
     samples are dropped and counted; fewer than 3 chartable samples is an
     error.  The model may be EncoderParams, MlpParams, or any callable
     mapping an (n, M) channel block to an (n, d) chart block.
+
+    The selected channels are gathered and charted one chart_batch block at
+    a time, and both spaces are ranked in row blocks, so memory stays
+    bounded by the block sizes rather than by n_eval^2; every K of the grid
+    is scored in the same pass over the rank blocks.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    chart, ok = chart_batch(model, cs.channels[indices])
+    chart, ok = chart_batch(model, cs.channels, indices)
     skipped = int(np.sum(~ok))
     chart = chart[ok]
     positions = np.asarray(cs.positions, dtype=np.float64)[indices][ok]
     n_eval = chart.shape[0]
     if n_eval < 3:
         raise ValueError("fewer than 3 chartable samples")
-    rank_pos = rank_matrix(positions)
-    rank_chart = rank_matrix(chart)
-    rows = []
-    for frac in k_grid:
-        k = max(1, int(math.floor(frac * n_eval + 0.5)))
-        _check_k(n_eval, k)
-        tw = _score(rank_pos, rank_chart, k)
-        ct = _score(rank_chart, rank_pos, k)
-        rows.append((k, float(frac), tw, ct))
+    ks = [max(1, int(math.floor(frac * n_eval + 0.5))) for frac in k_grid]
+    scores = _scores(positions, chart, ks)
+    rows = [(k, float(frac), tw, ct) for k, frac, (tw, ct) in zip(ks, k_grid, scores)]
     return MetricsReport(rows=rows, n_eval=n_eval, skipped=skipped)

@@ -13,6 +13,7 @@ stage is reproducible in isolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,12 +155,19 @@ def _checksum(params: list) -> float:
     return float(sum(float(np.sum(p)) for p in params))
 
 
+# Overflow and NaN in a step are caught by the finiteness checks below and
+# raised as one error, so numpy's warnings about them are silenced.
+@np.errstate(over="ignore", invalid="ignore")
 def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
     """Triplet-train the model on a split of cs; returns losses, params, skip count.
 
     Triplets are mined over positions within the ordered train subset, then
     mapped back to dataset indices.  All three branches of a triplet share
     the same parameter snapshot within a step (asserted by checksum).
+
+    A step whose loss sum, or whose updated parameters' checksum, is not
+    finite stops training with ValueError("training diverged: ...") naming
+    its 1-based epoch and step.
     """
     channels = cs.channels
     n = channels.shape[0]
@@ -180,16 +188,16 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
 
     epoch_losses: list[float] = []
     skipped = 0
-    for _epoch in range(cfg.epochs):
+    checksum = _checksum(params)
+    for epoch in range(1, cfg.epochs + 1):
         shuffle_rng.shuffle(order)
         loss_sum = 0.0
         loss_count = 0
-        for b0 in range(0, order.size, cfg.batch_size):
+        for step, b0 in enumerate(range(0, order.size, cfg.batch_size), 1):
             sel = order[b0:b0 + cfg.batch_size]
             nb = sel.size
             idx = np.concatenate([anchors[sel], closes[sel], fars[sel]])
             rows = channels[idx]
-            before = _checksum(params)
             if is_hybrid:
                 z3, cache = enc.forward_batch(model, rows)
                 ok3 = cache.ok
@@ -202,7 +210,11 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
                 continue
             loss, gz_a, gz_p, gz_m = triplet_loss_grad_batch(
                 z3[:nb], z3[nb:2 * nb], z3[2 * nb:], cfg.margin)
-            loss_sum += float(np.sum(loss[ok]))
+            step_loss = float(np.sum(loss[ok]))
+            if not math.isfinite(step_loss):
+                raise ValueError(f"training diverged: non-finite loss at epoch {epoch}, "
+                                 f"step {step}")
+            loss_sum += step_loss
             loss_count += n_ok
             scale = np.where(ok, 1.0 / n_ok, 0.0)[:, None]
             gz3 = np.concatenate([gz_a * scale, gz_p * scale, gz_m * scale])
@@ -210,9 +222,13 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
                 grads = list(enc.backward_batch(model, cache, rows, gz3))
             else:
                 grads = enc.mlp_backward_batch(model, acts, gz3, ok3)
-            if _checksum(params) != before:
+            if _checksum(params) != checksum:
                 raise AssertionError("parameters mutated during forward/backward")
             adam_step(state, params, grads, cfg)
+            checksum = _checksum(params)
+            if not math.isfinite(checksum):
+                raise ValueError(f"training diverged: non-finite parameters at epoch "
+                                 f"{epoch}, step {step}")
         if loss_count == 0:
             raise enc.DegenerateInputError("all training triplets degenerate")
         epoch_losses.append(loss_sum / loss_count)

@@ -5,6 +5,7 @@ loops and well-known textbook formulations -- so that agreement between an
 oracle and the fast implementation is meaningful evidence, not a tautology.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -99,6 +100,50 @@ def brute_trustworthiness(positions: np.ndarray, chart: np.ndarray, k: int) -> f
 def brute_continuity(positions: np.ndarray, chart: np.ndarray, k: int) -> float:
     """Continuity is trustworthiness with the two spaces swapped."""
     return brute_trustworthiness(chart, positions, k)
+
+
+def full_rank_matrix(points: np.ndarray) -> np.ndarray:
+    """The n x n rank matrix in one go: an (n, n, 2) difference array, one
+    stable argsort of every row, then the self-rank correction.
+
+    Same conventions as ``brute_ranks``; this was the package's ranker
+    before scoring moved to row blocks.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    diff = x[:, None, :] - x[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    order = np.argsort(sq, axis=1, kind="stable")
+    rows = np.arange(n)
+    pos = np.empty((n, n), dtype=np.int64)
+    pos[rows[:, None], order] = np.arange(n)[None, :]
+    self_pos = pos[rows, rows]
+    ranks = pos + 1 - (pos > self_pos[:, None])
+    ranks[rows, rows] = 0
+    return ranks
+
+
+def full_matrix_score(rank_ranks: np.ndarray, nn_ranks: np.ndarray, k: int) -> float:
+    """1 - normalized penalty over points in the nn-space K-NN but not the
+    rank-space K-NN, each costing its rank-space rank minus K, from n x n masks."""
+    n = rank_ranks.shape[0]
+    mask = (nn_ranks >= 1) & (nn_ranks <= k) & (rank_ranks > k)
+    penalty = int(np.sum((rank_ranks - k) * mask))
+    return 1.0 - (2.0 * penalty) / (n * k * (2 * n - 3 * k - 1))
+
+
+def full_matrix_rows(positions: np.ndarray, chart: np.ndarray, k_grid) -> list:
+    """``evaluate``'s (K, K_frac, TW, CT) rows from two whole rank matrices,
+    scanning them once per (K, metric) pair."""
+    n = positions.shape[0]
+    rank_pos = full_rank_matrix(positions)
+    rank_chart = full_rank_matrix(chart)
+    rows = []
+    for frac in k_grid:
+        k = max(1, int(math.floor(frac * n + 0.5)))
+        rows.append((k, float(frac), full_matrix_score(rank_pos, rank_chart, k),
+                     full_matrix_score(rank_chart, rank_pos, k)))
+    return rows
 
 
 def adam_oracle(state, params, grads, cfg) -> None:

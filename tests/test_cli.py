@@ -222,6 +222,23 @@ def test_chart_requires_2d_model(tmp_path, capsys):
     assert "d_out=3" in _stderr_error(capsys)["detail"]
 
 
+def test_diverging_training_exits_2_with_one_json_line(tmp_path, capsys):
+    doc = _small_doc()
+    doc["training"]["learning_rate"] = 1e300
+    cfg = _write_doc(tmp_path, doc)
+    data, model0 = str(tmp_path / "data.bin"), str(tmp_path / "model0.bin")
+    assert main(["generate", "--config", cfg, "--out", data]) == 0
+    assert main(["init", "--config", cfg, "--data", data, "--out", model0]) == 0
+    capsys.readouterr()
+    code = main(["train", "--config", cfg, "--data", data, "--model-in", model0,
+                 "--out", str(tmp_path / "model1.bin")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "config"
+    assert doc["detail"].startswith("training diverged: non-finite ")
+
+
 def test_config_and_preset_are_mutually_exclusive(tmp_path, capsys):
     cfg = _write_doc(tmp_path, _small_doc())
     with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,13 @@
 """Hybrid sparse-correlation encoder and the MLP baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chanchart.encoder import (
+    CHART_ROWS,
     DegenerateInputError,
     EncoderParams,
     MlpParams,
@@ -416,3 +418,64 @@ def test_chart_batch_dispatch():
     assert np.array_equal(z, np.ones((5, 2)))
     with pytest.raises(TypeError):
         chart_batch(object(), channels)
+
+
+def _blockwise(model, channels):
+    """(z, ok) of the encoder's own batched forward, one CHART_ROWS block at a time."""
+    zs, oks = [], []
+    for lo in range(0, channels.shape[0], CHART_ROWS):
+        block = channels[lo:lo + CHART_ROWS]
+        if isinstance(model, EncoderParams):
+            z, cache = forward_batch(model, block)
+            ok = cache.ok
+        elif isinstance(model, MlpParams):
+            z, _, ok = mlp_forward_batch(model, block)
+        else:
+            z, ok = model(block), np.ones(block.shape[0], dtype=bool)
+        zs.append(z)
+        oks.append(ok)
+    return np.concatenate(zs), np.concatenate(oks)
+
+
+def _scaled_sum(block):
+    return np.stack([block.real.sum(axis=1), 2.0 * block.imag.sum(axis=1)], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "mlp", "callable"])
+@pytest.mark.parametrize("n", [0, 1, CHART_ROWS, CHART_ROWS + 1])
+def test_chart_batch_blocks_equal_blockwise_forward(kind, n):
+    model = {"hybrid": _random_params(81, 6, 5, 2),
+             "mlp": mlp_init(6, seed=82, hidden=(7, 3)),
+             "callable": _scaled_sum}[kind]
+    channels = _random_channels(83, CHART_ROWS + 1, 6)
+    channels[CHART_ROWS] = 0.0  # degenerate for both encoders
+    channels = channels[:n]
+    z, ok = chart_batch(model, channels)
+    assert z.shape == (n, 2) and ok.shape == (n,) and ok.dtype == bool
+    if n == 0:
+        return
+    want_z, want_ok = _blockwise(model, channels)
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(z, want_z)
+    if n > CHART_ROWS and kind != "callable":
+        assert not ok[CHART_ROWS] and np.array_equal(z[CHART_ROWS], [0.0, 0.0])
+    # charting selected rows equals charting their gathered copy
+    index = np.arange(n)[::-1]
+    z_idx, ok_idx = chart_batch(model, channels, index)
+    want_z, want_ok = chart_batch(model, channels[index])
+    assert np.array_equal(z_idx, want_z) and np.array_equal(ok_idx, want_ok)
+
+
+def test_chart_batch_memory_stays_below_one_real_plane():
+    # the unblocked forward held two full real planes of the channels
+    n, m = 4 * CHART_ROWS + 7, 128
+    channels = _random_channels(84, n, m)
+    model = _random_params(85, m, 8, 3)
+    tracemalloc.start()
+    try:
+        z, ok = chart_batch(model, channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.shape == (n, 2) and ok.all()
+    assert peak < n * m * 8

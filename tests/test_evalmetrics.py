@@ -1,9 +1,12 @@
 """Neighborhood-rank metrics: trustworthiness, continuity, evaluate()."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chanchart.encoder import init_random
+from chanchart import evalmetrics
+from chanchart.encoder import chart_batch, init_random
 from chanchart.evalmetrics import (
     DEFAULT_K_GRID,
     MetricsReport,
@@ -15,7 +18,13 @@ from chanchart.evalmetrics import (
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import ChannelSet
 
-from helpers import brute_continuity, brute_ranks, brute_trustworthiness
+from helpers import (
+    brute_continuity,
+    brute_ranks,
+    brute_trustworthiness,
+    full_matrix_rows,
+    full_rank_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +64,12 @@ def test_rank_matrix_matches_brute_oracle():
         assert np.array_equal(rank_matrix(pts), brute_ranks(pts))
 
 
+def test_rank_matrix_equals_full_matrix_reference_with_ties():
+    rng = SplitMix64(15)
+    pts = np.floor(rng.uniforms(400).reshape(200, 2) * 5.0)  # duplicates and ties
+    assert np.array_equal(rank_matrix(pts), full_rank_matrix(pts))
+
+
 def test_rank_matrix_needs_two_points():
     with pytest.raises(ValueError):
         rank_matrix(np.zeros((1, 2)))
@@ -83,6 +98,21 @@ def test_scores_match_brute_oracle():
                    - brute_trustworthiness(pos, chart, k)) < 1e-12
         assert abs(continuity(pos, chart, k)
                    - brute_continuity(pos, chart, k)) < 1e-12
+
+
+def test_scores_in_one_row_blocks_match_brute_oracle(monkeypatch):
+    # a block of one row per rank pass, on points with duplicates and ties
+    monkeypatch.setattr(evalmetrics, "RANK_ENTRIES", 1)
+    rng = SplitMix64(16)
+    for _ in range(6):
+        n = 8 + rng.randbelow(30)
+        pos = np.floor(rng.uniforms(2 * n).reshape(n, 2) * 4.0)
+        chart = np.floor(rng.uniforms(2 * n).reshape(n, 2) * 3.0)
+        for k in (1, 1 + rng.randbelow((2 * n - 2) // 3)):
+            assert abs(trustworthiness(pos, chart, k)
+                       - brute_trustworthiness(pos, chart, k)) < 1e-12
+            assert abs(continuity(pos, chart, k)
+                       - brute_continuity(pos, chart, k)) < 1e-12
 
 
 def test_continuity_is_trustworthiness_with_spaces_swapped():
@@ -190,3 +220,40 @@ def test_metrics_report_csv_round_trip():
     k, frac, tw, ct = lines[1].split(",")
     assert int(k) == 1 and float(frac) == 0.01
     assert float(tw) == 0.875 and float(ct) == 0.9375
+
+
+def _quantized_reader(block):
+    """Chart = position rounded to a 1.5 grid: many duplicate points and ties."""
+    return np.round(block[:, :2].real / 1.5) * 1.5
+
+
+@pytest.mark.parametrize("model", ["quantized", "hybrid"])
+def test_evaluate_rows_equal_full_matrix_reference(model):
+    # n = 700 ranks in 8 row blocks; positions on a coarse grid repeat
+    cs = _position_channelset(700)
+    cs.positions[:] = np.round(cs.positions)
+    idx = np.arange(700)
+    if model == "hybrid":
+        model = init_random(cs.channels.shape[1], 9, 3, 2, seed=17)
+    else:
+        model = _quantized_reader
+    assert 700 > 4 * (evalmetrics.RANK_ENTRIES // 700)
+    report = evaluate(model, cs, idx)
+    chart, ok = chart_batch(model, cs.channels)
+    assert ok.all()
+    assert report.rows == full_matrix_rows(cs.positions, chart, DEFAULT_K_GRID)
+
+
+def test_evaluate_memory_is_bounded():
+    # the whole-matrix ranking took about 110 MB here; blocks need a few MB
+    n = 1500
+    cs = _position_channelset(n)
+    idx = np.arange(n)
+    tracemalloc.start()
+    try:
+        report = evaluate(_position_reader, cs, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_eval == n
+    assert peak < 8 * 2**20

@@ -261,6 +261,17 @@ def test_train_survives_a_nan_channel_row(tiny):
     assert all(np.isfinite(a).all() for a in trainer._param_arrays(model))
 
 
+@pytest.mark.parametrize("lr, what", [(1e300, "loss"), (math.inf, "parameters")])
+def test_train_stops_when_it_diverges(tiny, lr, what):
+    # lr 1e300 overflows the next forward; an infinite lr makes NaN parameters
+    cfg, cs = tiny
+    tcfg = dataclasses.replace(cfg.train_config(), learning_rate=lr)
+    model = _tiny_model(cfg, cs, "hybrid")
+    with pytest.raises(ValueError, match=rf"^training diverged: non-finite {what} "
+                                         r"at epoch 1, step \d+$"):
+        train(model, cs, tcfg, cfg.mining_config(cs.sample_rate))
+
+
 def test_train_epochs_zero_is_a_no_op():
     cs = _small_channelset()
     mining = MiningConfig(t_close=1.0, t_far=3.0, sample_rate=cs.sample_rate, seed=5)
