@@ -80,13 +80,18 @@ def _init_model(cfg: ExperimentConfig, cs):
                                cfg.seeds["init"])
 
 
+def _check_encoder_fits(cfg: ExperimentConfig, n: int, smart: bool) -> None:
+    """k must fit in the dictionary, and a smart dictionary in the n samples."""
+    e = cfg.encoder
+    if e.k > e.n_init:
+        raise DimensionError(f"encoder.k={e.k} exceeds n_init={e.n_init}")
+    if smart and e.n_init > n:
+        raise DimensionError(f"encoder.n_init={e.n_init} exceeds dataset size {n}")
+
+
 def cmd_init(cfg: ExperimentConfig, data_path: str, out_path: str) -> int:
     cs = _load_dataset(cfg, data_path)
-    if cfg.encoder.k > cfg.encoder.n_init:
-        raise DimensionError(f"encoder.k={cfg.encoder.k} exceeds n_init={cfg.encoder.n_init}")
-    if cfg.encoder.init == "smart" and cfg.encoder.n_init > cs.channels.shape[0]:
-        raise DimensionError(f"encoder.n_init={cfg.encoder.n_init} exceeds "
-                             f"dataset size {cs.channels.shape[0]}")
+    _check_encoder_fits(cfg, cs.channels.shape[0], cfg.encoder.init == "smart")
     model = _init_model(cfg, cs)
     fileio.write_model(out_path, model)
     print(f"init: wrote {out_path} ({cfg.encoder.init} init, "
@@ -150,8 +155,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str) -> int:
         raise DimensionError(f"scenario produced {cs.channels.shape[0]} samples, "
                              f"expected {n_expect}")
     n, m = cs.channels.shape
-    if cfg.encoder.n_init > n:
-        raise DimensionError(f"encoder.n_init={cfg.encoder.n_init} exceeds dataset size {n}")
+    _check_encoder_fits(cfg, n, smart=True)  # compare always runs the smart arm
     _, eval_idx = _eval_indices(cfg, n)
     mining = cfg.mining_config(cs.sample_rate)
     e = cfg.encoder

@@ -24,6 +24,7 @@ independent substreams, which is what the CLI's ``--seed-override`` uses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .evalmetrics import DEFAULT_K_GRID
@@ -68,9 +69,17 @@ def _as_int(v, where: str) -> int:
 
 
 def _as_float(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {v!r}")
+    # json accepts NaN and Infinity; no field takes them
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _as_nonnegative(v, where: str) -> float:
+    x = _as_float(v, where)
+    if x < 0.0:
+        raise ConfigError(f"{where} must be >= 0")
+    return x
 
 
 def _as_bool(v, where: str) -> bool:
@@ -146,6 +155,10 @@ class TrainingSettings:
             raise ConfigError("training: learning_rate must be > 0 and margin >= 0")
         if not (0.0 < self.split_ratio < 1.0):
             raise ConfigError("training.split_ratio must lie in (0, 1)")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("training: beta1 and beta2 must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ConfigError("training.eps must be > 0")
 
 
 _RADIO_KEYS = {"n_rows", "n_cols", "n_subcarriers", "f_c", "bandwidth",
@@ -189,7 +202,8 @@ def _parse_scenario(d: dict) -> dict:
                                           "scenario.geometry_samples")
         if out["geometry_samples"] < 2:
             raise ConfigError("scenario.geometry_samples must be >= 2")
-        out["jitter_sigma"] = _as_float(d.get("jitter_sigma", 0.05), "scenario.jitter_sigma")
+        out["jitter_sigma"] = _as_nonnegative(d.get("jitter_sigma", 0.05),
+                                              "scenario.jitter_sigma")
         return out
     if kind == "explicit":
         _check_keys(d, _EXPLICIT_KEYS, {"trajectory", "radio", "scatterers"}, "scenario")
@@ -203,8 +217,8 @@ def _parse_scenario(d: dict) -> dict:
                 "waypoints": _as_point_list(traj["waypoints"], 2, "scenario.trajectory.waypoints"),
                 "speed": _as_float(traj["speed"], "scenario.trajectory.speed"),
                 "sample_rate": _as_float(traj["sample_rate"], "scenario.trajectory.sample_rate"),
-                "jitter_sigma": _as_float(traj.get("jitter_sigma", 0.0),
-                                          "scenario.trajectory.jitter_sigma"),
+                "jitter_sigma": _as_nonnegative(traj.get("jitter_sigma", 0.0),
+                                                "scenario.trajectory.jitter_sigma"),
             },
             "radio": dict(d["radio"]) if isinstance(d["radio"], dict) else d["radio"],
             "scatterers": {

@@ -10,7 +10,9 @@ global phase of the input by construction.
 
 Backward passes are hand-derived reverse mode; batched variants exist for
 the trainer and evaluator hot paths and must agree with the per-sample
-reference implementations.
+reference implementations.  The batched backward multiplies only the live
+rows -- chartable rows whose output gradient is nonzero -- into the
+dictionary gradients: every other row would add exact zeros.
 """
 
 from __future__ import annotations
@@ -94,6 +96,25 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
 
+def _top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k largest entries along the last axis, ties toward the lower index.
+
+    NaN ranks below every number, so the mask equals the first k entries of a
+    stable descending argsort.  The k-th value is found by partition; every
+    entry above it is kept, and the entries equal to it fill the remaining
+    places in index order.  k at or beyond the axis length keeps everything.
+    """
+    if k >= b.shape[-1]:
+        return np.ones(b.shape, dtype=bool)
+    # partition sorts NaN last, so partitioning -b puts NaN below every number
+    kth = -np.partition(-b, k - 1, axis=-1)[..., k - 1:k]
+    b_nan, kth_nan = np.isnan(b), np.isnan(kth)
+    above = (b > kth) | (kth_nan & ~b_nan)
+    tie = (b == kth) | (kth_nan & b_nan)
+    need = k - np.count_nonzero(above, axis=-1, keepdims=True)
+    return above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= need))
+
+
 def hard_threshold(v: np.ndarray, k: int):
     """Keep the k largest entries (ties toward the lower index), zero the rest.
 
@@ -103,14 +124,10 @@ def hard_threshold(v: np.ndarray, k: int):
     v = np.asarray(v)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = v.shape[0]
-    if k >= n:
-        return v.copy(), np.arange(n)
-    order = np.argsort(-v, kind="stable")
-    kept = np.sort(order[:k])
+    mask = _top_k_mask(v, k)
     out = np.zeros_like(v)
-    out[kept] = v[kept]
-    return out, kept
+    out[mask] = v[mask]
+    return out, np.flatnonzero(mask)
 
 
 def forward(p: EncoderParams, h: np.ndarray):
@@ -183,27 +200,22 @@ class BatchCache:
     ok: np.ndarray         # bool (n_samples,)
 
 
-def forward_batch(p: EncoderParams, channels: np.ndarray):
+def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     """Batched hybrid forward over rows of `channels`; returns (z, cache).
 
-    Degenerate rows chart to zero and are flagged in cache.ok instead of
-    raising, so callers can skip and count them.
+    Given ``index``, charts the rows ``channels[index]``, gathered straight
+    into the cache's real and imaginary planes.  Degenerate rows chart to
+    zero and are flagged in cache.ok instead of raising, so callers can skip
+    and count them.
     """
     channels = np.asarray(channels, dtype=np.complex128)
-    h_re = np.ascontiguousarray(channels.real)
-    h_im = np.ascontiguousarray(channels.imag)
+    rows = slice(None) if index is None else index
+    h_re = np.ascontiguousarray(channels.real[rows])
+    h_im = np.ascontiguousarray(channels.imag[rows])
     a_re = h_re @ p.d_re + h_im @ p.d_im
     a_im = h_im @ p.d_re - h_re @ p.d_im
     b = np.sqrt(a_re * a_re + a_im * a_im)
-    n, n_init = b.shape
-    kept_mask = np.zeros((n, n_init), dtype=bool)
-    if p.k >= n_init:
-        kept_mask[:] = b > 0.0
-    else:
-        order = np.argsort(-b, axis=1, kind="stable")
-        rows = np.repeat(np.arange(n), p.k)
-        kept_mask[rows, order[:, : p.k].ravel()] = True
-        kept_mask &= b > 0.0
+    kept_mask = _top_k_mask(b, p.k) & (b > 0.0)
     s = np.sum(np.where(kept_mask, b, 0.0), axis=1)
     ok = s > 0.0
     safe_s = np.where(ok, s, 1.0)
@@ -214,37 +226,25 @@ def forward_batch(p: EncoderParams, channels: np.ndarray):
                          kept_mask=kept_mask, s=s, d=d, ok=ok)
 
 
-def backward_batch(p: EncoderParams, cache: BatchCache, channels: np.ndarray, gz: np.ndarray):
+def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray):
     """Batch-summed hybrid gradients; rows flagged not-ok contribute nothing.
 
-    The channel planes come from ``cache`` (``channels`` must be the rows
-    that forward_batch charted).  When some row is flagged, its correlation
-    gradients and its h planes (in a copy) are zeroed before the gradient
-    GEMMs, so non-finite entries of a masked row cannot leak in as NaN*0;
-    batches with every row ok feed the GEMMs the cached planes unchanged.
+    Only the live rows -- ok rows whose ``gz`` row is nonzero -- enter the
+    dictionary gradients.  Every other row would add exact zeros to each of
+    their sums, so skipping it keeps the result's bits, and a degenerate or
+    non-finite row is never multiplied in.  ``gz.T @ d`` runs over all rows.
     """
-    h_re, h_im = cache.h_re, cache.h_im
-    if np.shape(channels)[0] != h_re.shape[0]:
-        raise ValueError("channels do not match the forward cache")
-    gz = np.array(gz, dtype=np.float64)
-    gz[~cache.ok] = 0.0
+    gz = np.where(cache.ok[:, None], gz, 0.0)
     gz_mat = gz.T @ cache.d
-    gd = gz @ p.z  # (n_samples, n_init)
-    inner = np.sum(gd * cache.d, axis=1)
-    safe_s = np.where(cache.ok, cache.s, 1.0)
-    gc = np.where(cache.kept_mask, gd - inner[:, None], 0.0) / safe_s[:, None]
-    gc[~cache.ok] = 0.0
-    safe_b = np.where(cache.b > 0.0, cache.b, 1.0)
-    ga_re = gc * cache.a_re / safe_b
-    ga_im = gc * cache.a_im / safe_b
-    bad = ~cache.ok
-    if bad.any():
-        ga_re[bad] = 0.0
-        ga_im[bad] = 0.0
-        h_re = h_re.copy()
-        h_im = h_im.copy()
-        h_re[bad] = 0.0
-        h_im[bad] = 0.0
+    live = np.flatnonzero(np.any(gz != 0.0, axis=1))
+    d, b = cache.d[live], cache.b[live]
+    gd = gz[live] @ p.z  # (n_live, n_init)
+    inner = np.sum(gd * d, axis=1)
+    gc = np.where(cache.kept_mask[live], gd - inner[:, None], 0.0) / cache.s[live, None]
+    safe_b = np.where(b > 0.0, b, 1.0)
+    ga_re = gc * cache.a_re[live] / safe_b
+    ga_im = gc * cache.a_im[live] / safe_b
+    h_re, h_im = cache.h_re[live], cache.h_im[live]
     gd_re = h_re.T @ ga_re + h_im.T @ ga_im
     gd_im = h_im.T @ ga_re - h_re.T @ ga_im
     return gd_re, gd_im, gz_mat

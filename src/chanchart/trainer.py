@@ -3,8 +3,11 @@
 Each step stacks the anchor/close/far members of a batch into one matrix,
 runs a single shared-parameter batched forward, backpropagates the margin
 loss through the encoder, averages gradients over the processed triplets,
-and applies one Adam update.  Degenerate members (unchartable channels)
-knock out their whole triplet, which is counted rather than trained on.
+and applies one Adam update.  The hybrid forward gathers the batch's rows
+straight into real/imaginary planes, and its backward multiplies only the
+rows of triplets that still carry a loss gradient.  Degenerate members
+(unchartable channels) knock out their whole triplet, which is counted
+rather than trained on.
 
 Seeding: the train/eval split uses substream(seed, 0), epoch shuffles use
 substream(seed, 1), and mining uses the MiningConfig's own seed, so every
@@ -197,12 +200,11 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
             sel = order[b0:b0 + cfg.batch_size]
             nb = sel.size
             idx = np.concatenate([anchors[sel], closes[sel], fars[sel]])
-            rows = channels[idx]
             if is_hybrid:
-                z3, cache = enc.forward_batch(model, rows)
+                z3, cache = enc.forward_batch(model, channels, idx)
                 ok3 = cache.ok
             else:
-                z3, acts, ok3 = enc.mlp_forward_batch(model, rows)
+                z3, acts, ok3 = enc.mlp_forward_batch(model, channels[idx])
             ok = ok3[:nb] & ok3[nb:2 * nb] & ok3[2 * nb:]
             n_ok = int(np.sum(ok))
             skipped += nb - n_ok
@@ -219,7 +221,7 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
             scale = np.where(ok, 1.0 / n_ok, 0.0)[:, None]
             gz3 = np.concatenate([gz_a * scale, gz_p * scale, gz_m * scale])
             if is_hybrid:
-                grads = list(enc.backward_batch(model, cache, rows, gz3))
+                grads = list(enc.backward_batch(model, cache, gz3))
             else:
                 grads = enc.mlp_backward_batch(model, acts, gz3, ok3)
             if _checksum(params) != checksum:

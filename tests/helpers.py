@@ -179,3 +179,49 @@ def ccd1_bytes(channels: np.ndarray, positions: np.ndarray) -> bytes:
         for z in row:
             parts.append(struct.pack("<2d", float(z.real), float(z.imag)))
     return b"".join(parts)
+
+
+def argsort_top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the first k entries of a stable descending argsort along the
+    last axis (k at or beyond its length keeps everything).
+
+    argsort places NaN after every number, so NaN ranks lowest, and equal
+    entries keep index order.  This was the package's top-k rule before it
+    moved to partitioning.
+    """
+    b = np.asarray(b)
+    mask = np.zeros(b.shape, dtype=bool)
+    order = np.argsort(-b, axis=-1, kind="stable")
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return mask
+
+
+def full_row_backward_batch(p, cache, gz):
+    """The batch-summed hybrid gradients with every row in every product.
+
+    Not-ok rows get zero output and correlation gradients, and their h
+    planes are zeroed in a copy, so non-finite channels cannot leak in as
+    NaN*0.  This was the package's ``backward_batch`` before it multiplied
+    only the live rows.
+    """
+    ok = cache.ok
+    gz = np.array(gz, dtype=np.float64)
+    gz[~ok] = 0.0
+    gz_mat = gz.T @ cache.d
+    gd = gz @ p.z
+    inner = np.sum(gd * cache.d, axis=1)
+    safe_s = np.where(ok, cache.s, 1.0)
+    gc = np.where(cache.kept_mask, gd - inner[:, None], 0.0) / safe_s[:, None]
+    gc[~ok] = 0.0
+    safe_b = np.where(cache.b > 0.0, cache.b, 1.0)
+    ga_re = gc * cache.a_re / safe_b
+    ga_im = gc * cache.a_im / safe_b
+    h_re, h_im = cache.h_re, cache.h_im
+    if not ok.all():
+        ga_re[~ok] = 0.0
+        ga_im[~ok] = 0.0
+        h_re = np.where(ok[:, None], h_re, 0.0)
+        h_im = np.where(ok[:, None], h_im, 0.0)
+    gd_re = h_re.T @ ga_re + h_im.T @ ga_im
+    gd_im = h_im.T @ ga_re - h_re.T @ ga_im
+    return gd_re, gd_im, gz_mat

@@ -206,7 +206,10 @@ def test_k_larger_than_n_init_exits_3(tmp_path, capsys):
     code = main(["init", "--config", cfg, "--data", data,
                  "--out", str(tmp_path / "m.bin")])
     assert code == 3
-    assert _stderr_error(capsys)["error"] == "dimension"
+    init_err = _stderr_error(capsys)
+    assert init_err == {"error": "dimension", "detail": "encoder.k=3 exceeds n_init=2"}
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 3
+    assert _stderr_error(capsys) == init_err
 
 
 def test_chart_requires_2d_model(tmp_path, capsys):
@@ -237,6 +240,18 @@ def test_diverging_training_exits_2_with_one_json_line(tmp_path, capsys):
     doc = json.loads(err[0])
     assert doc["error"] == "config"
     assert doc["detail"].startswith("training diverged: non-finite ")
+
+
+def test_non_finite_config_value_exits_2_with_one_json_line(tmp_path, capsys):
+    doc = _small_doc()
+    doc["training"]["learning_rate"] = float("nan")  # written as the JSON token NaN
+    cfg = _write_doc(tmp_path, doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "data.bin")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "config", "detail": "training.learning_rate: "
+                                  "expected a finite number, got nan"}
+    assert not (tmp_path / "data.bin").exists()
 
 
 def test_config_and_preset_are_mutually_exclusive(tmp_path, capsys):

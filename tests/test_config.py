@@ -117,6 +117,42 @@ def test_value_range_validation():
         ExperimentConfig.from_dict({"scenario": {"kind": "hexagon"}})
 
 
+_EXPLICIT = {
+    "kind": "explicit",
+    "trajectory": {"waypoints": [[0.0, 0.0], [8.0, 0.0]], "speed": 1.0, "sample_rate": 2.0},
+    "radio": {"n_rows": 2, "n_cols": 2, "n_subcarriers": 3},
+    "scatterers": {"points": [[4.0, 9.0, 3.0]], "gains": [0.5]},
+}
+
+
+@pytest.mark.parametrize("section, key, value, match", [
+    ("training", "learning_rate", float("nan"), "training.learning_rate"),
+    ("training", "margin", float("inf"), "training.margin"),
+    ("mining", "t_far", float("-inf"), "mining.t_far"),
+    ("training", "beta1", 2.0, "beta1"),
+    ("training", "beta2", 1.0, "beta2"),
+    ("training", "beta1", -0.5, "beta1"),
+    ("training", "eps", -1.0, "training.eps"),
+    ("training", "eps", 0.0, "training.eps"),
+    ("scenario", "jitter_sigma", float("nan"), "scenario.jitter_sigma"),
+    ("scenario", "jitter_sigma", -0.1, "scenario.jitter_sigma"),
+    ("trajectory", "jitter_sigma", float("nan"), "scenario.trajectory.jitter_sigma"),
+    ("trajectory", "jitter_sigma", -0.1, "scenario.trajectory.jitter_sigma"),
+])
+def test_bad_values_rejected_at_parse_time(section, key, value, match):
+    # json.loads accepts NaN and Infinity, so a config file can carry them
+    if section == "trajectory":
+        doc = {"scenario": json.loads(json.dumps(_EXPLICIT))}
+        doc["scenario"]["trajectory"][key] = value
+    elif section == "scenario":
+        doc = _minimal_doc()
+        doc["scenario"][key] = value
+    else:
+        doc = _minimal_doc(**{section: {key: value}})
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_to_dict_round_trips():
     for name in PRESETS:
         cfg = ExperimentConfig.from_dict(PRESETS[name]())

@@ -11,6 +11,7 @@ from chanchart.encoder import (
     DegenerateInputError,
     EncoderParams,
     MlpParams,
+    _top_k_mask,
     backward,
     backward_batch,
     chart_batch,
@@ -30,7 +31,12 @@ from chanchart.encoder import (
 )
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import ChannelSet
-from helpers import central_difference, relative_error
+from helpers import (
+    argsort_top_k_mask,
+    central_difference,
+    full_row_backward_batch,
+    relative_error,
+)
 
 
 def _random_params(seed: int, m: int, n_init: int, k: int, d_out: int = 2) -> EncoderParams:
@@ -70,6 +76,24 @@ def test_hard_threshold_basic():
 def test_hard_threshold_rejects_bad_k():
     with pytest.raises(ValueError):
         hard_threshold(np.array([1.0]), 0)
+
+
+def test_top_k_mask_is_the_stable_argsort_top_k():
+    n_init = 12
+    rng = SplitMix64(7)
+    for trial in range(20):
+        # three levels force ties; row 0 is all NaN, row 1 part NaN, row 2 zero
+        b = np.floor(rng.uniforms(9 * n_init) * 3.0).reshape(9, n_init)
+        b[0] = np.nan
+        b[1, rng.sample(n_init, 1 + trial % (n_init - 1))] = np.nan
+        b[2] = 0.0
+        for k in (1, n_init - 1, n_init):
+            want = argsort_top_k_mask(b, k)
+            assert np.array_equal(_top_k_mask(b, k), want)
+            for row, mask in zip(b, want):
+                out, kept = hard_threshold(row, k)
+                assert np.array_equal(kept, np.flatnonzero(mask))
+                assert np.array_equal(out, np.where(mask, row, 0.0), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +242,7 @@ def test_backward_batch_matches_scalar_sum():
     channels = _random_channels(52, 6, 10)
     gz = SplitMix64(53).normals(12).reshape(6, 2)
     _, cache = forward_batch(p, channels)
-    b_re, b_im, b_z = backward_batch(p, cache, channels, gz)
+    b_re, b_im, b_z = backward_batch(p, cache, gz)
     s_re = np.zeros_like(b_re)
     s_im = np.zeros_like(b_im)
     s_z = np.zeros_like(b_z)
@@ -239,7 +263,7 @@ def test_backward_batch_ignores_degenerate_rows():
     channels = np.array([[1.0 + 0.0j, 0.0], [0.0 + 0.0j, 5.0]])
     gz = np.ones((2, 2))
     _, cache = forward_batch(p, channels)
-    g_re, g_im, g_z = backward_batch(p, cache, channels, gz)
+    g_re, g_im, g_z = backward_batch(p, cache, gz)
     # only row 0 contributes; row 1 is degenerate
     _, c0 = forward(p, channels[0])
     e_re, e_im, e_z = backward(p, c0, channels[0], gz[0])
@@ -257,10 +281,39 @@ def test_backward_batch_masks_non_finite_rows():
         channels[2] = bad
         _, cache = forward_batch(p, channels)
         assert cache.ok.tolist() == [True, True, False, True]
-        grads.append(backward_batch(p, cache, channels, gz))
+        grads.append(backward_batch(p, cache, gz))
     for g_nan, g_zero in zip(*grads):
         assert np.isfinite(g_nan).all()
         assert np.array_equal(g_nan, g_zero)
+
+
+@pytest.mark.parametrize("case", ["some gz rows zero", "degenerate rows", "nan rows",
+                                  "every row live", "no row live", "no row ok"])
+def test_backward_batch_is_bitwise_the_full_row_oracle(case):
+    n = 24
+    p = _random_params(57, 10, 7, 3)
+    channels = _random_channels(58, n, 10)
+    gz = SplitMix64(59).normals(2 * n).reshape(n, 2)
+    if case == "some gz rows zero":
+        gz[::3] = 0.0
+        gz[1, 0] = 0.0  # half a row zero keeps the row live
+    elif case == "degenerate rows":
+        channels[[2, 7, 8]] = 0.0
+    elif case == "nan rows":
+        channels[[0, 5]] = np.nan
+        channels[11, 3] = np.nan
+        gz[4] = 0.0
+    elif case == "no row live":
+        gz[:] = 0.0
+    elif case == "no row ok":
+        channels[:] = 0.0
+    _, cache = forward_batch(p, channels)
+    assert cache.ok.any() == (case != "no row ok")
+    got = backward_batch(p, cache, gz)
+    want = full_row_backward_batch(p, cache, gz)
+    for g, w in zip(got, want):
+        assert np.isfinite(g).all()
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------

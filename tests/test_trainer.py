@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chanchart import trainer
+from chanchart import encoder, trainer
 from chanchart.config import preset
 from chanchart.encoder import EncoderParams, init_random, init_smart, mlp_init
 from chanchart.rng import SplitMix64, substream
@@ -25,7 +26,7 @@ from chanchart.trainer import (
     train,
 )
 from chanchart.triplet import MiningConfig
-from helpers import adam_oracle
+from helpers import adam_oracle, argsort_top_k_mask, full_row_backward_batch
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,8 @@ def _tiny_model(cfg, cs, kind: str):
     e = cfg.encoder
     if kind == "hybrid":
         return init_random(cs.channels.shape[1], e.n_init, e.k, e.d_out, cfg.seeds["init"])
+    if kind == "smart":
+        return init_smart(cs, e.n_init, e.k_iso, e.k, e.d_out, cfg.seeds["init"])
     return mlp_init(cs.channels.shape[1], cfg.seeds["init"], d_out=e.d_out)
 
 
@@ -244,6 +247,46 @@ def test_train_is_bitwise_the_textbook_adam(tiny, kind, monkeypatch):
     assert report.epoch_losses == ref.epoch_losses
     for got, want in zip(trainer._param_arrays(shipped), trainer._param_arrays(textbook)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "smart"])
+def test_train_hybrid_is_bitwise_the_full_row_step(tiny, kind, monkeypatch):
+    # the reference step gathers complex rows, ranks by stable argsort and
+    # multiplies every row into the dictionary gradients; from a random init
+    # every row carries gradient, from a smart init 10-50% of rows carry none
+    cfg, cs = tiny
+    tcfg = dataclasses.replace(cfg.train_config(), epochs=2)
+    mining = cfg.mining_config(cs.sample_rate)
+    shipped = _tiny_model(cfg, cs, kind)
+    report = train(shipped, cs, tcfg, mining)
+    forward_batch = encoder.forward_batch
+    monkeypatch.setattr(encoder, "forward_batch",
+                        lambda p, channels, index: forward_batch(p, channels[index]))
+    monkeypatch.setattr(encoder, "_top_k_mask", argsort_top_k_mask)
+    monkeypatch.setattr(encoder, "backward_batch", full_row_backward_batch)
+    reference = _tiny_model(cfg, cs, kind)
+    ref = train(reference, cs, tcfg, mining)
+    assert report.epoch_losses == ref.epoch_losses
+    for got, want in zip(trainer._param_arrays(shipped), trainer._param_arrays(reference)):
+        assert np.array_equal(got, want)
+
+
+def test_hybrid_train_peaks_below_one_plane_of_the_dataset():
+    # one epoch must not hold a dataset-sized copy: it gathers each batch
+    n, m = 4000, 256
+    rng = SplitMix64(11)
+    channels = (rng.normals(n * m) + 1j * rng.normals(n * m)).reshape(n, m)
+    positions = np.stack([np.arange(n, dtype=np.float64), np.zeros(n), np.zeros(n)], axis=1)
+    cs = ChannelSet(channels=channels, positions=positions, sample_rate=1.0)
+    mining = MiningConfig(t_close=4.0, t_far=12.0, sample_rate=1.0, seed=5)
+    model = init_random(m, 30, 5, 2, seed=1)
+    tracemalloc.start()
+    try:
+        train(model, cs, TrainConfig(epochs=1, seed=9), mining)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8
 
 
 def test_train_survives_a_nan_channel_row(tiny):
