@@ -7,95 +7,4 @@ channels, refine it with a temporal triplet loss, and score the resulting
 2-D chart with trustworthiness and continuity.
 """
 
-from .config import ConfigError, ExperimentConfig, derive_seeds, preset
-from .encoder import (
-    DegenerateInputError,
-    EncoderParams,
-    MlpParams,
-    chart_batch,
-    count_params,
-    hybrid_param_count,
-    init_random,
-    init_smart,
-    mlp_init,
-    mlp_param_count,
-)
-from .evalmetrics import MetricsReport, continuity, evaluate, rank_matrix, trustworthiness
-from .fileio import FileFormatError, read_dataset, read_model, write_dataset, write_model
-from .isomap import classical_mds, isomap, jacobi_eigh, knn_graph
-from .metricspace import distance_matrix, pseudo_distance
-from .rng import SplitMix64, substream
-from .synthgen import (
-    ChannelSet,
-    RadioConfig,
-    ScattererSet,
-    TrajectoryConfig,
-    channel_vector,
-    default_scenario,
-    generate_trajectory,
-    loop_scenario,
-    synthesize_channels,
-)
-from .trainer import TrainConfig, TrainReport, split_dataset, train
-from .triplet import (
-    MiningConfig,
-    TripletIndex,
-    mine_triplets,
-    triplet_loss,
-    triplet_loss_grad,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChannelSet",
-    "ConfigError",
-    "DegenerateInputError",
-    "EncoderParams",
-    "ExperimentConfig",
-    "FileFormatError",
-    "MetricsReport",
-    "MiningConfig",
-    "MlpParams",
-    "RadioConfig",
-    "ScattererSet",
-    "SplitMix64",
-    "TrainConfig",
-    "TrainReport",
-    "TrajectoryConfig",
-    "TripletIndex",
-    "channel_vector",
-    "chart_batch",
-    "classical_mds",
-    "continuity",
-    "count_params",
-    "default_scenario",
-    "derive_seeds",
-    "distance_matrix",
-    "evaluate",
-    "generate_trajectory",
-    "hybrid_param_count",
-    "init_random",
-    "init_smart",
-    "isomap",
-    "jacobi_eigh",
-    "knn_graph",
-    "loop_scenario",
-    "mine_triplets",
-    "mlp_init",
-    "mlp_param_count",
-    "preset",
-    "pseudo_distance",
-    "rank_matrix",
-    "read_dataset",
-    "read_model",
-    "split_dataset",
-    "substream",
-    "synthesize_channels",
-    "train",
-    "triplet_loss",
-    "triplet_loss_grad",
-    "trustworthiness",
-    "write_dataset",
-    "write_model",
-]

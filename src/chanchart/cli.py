@@ -35,19 +35,14 @@ class DimensionError(ValueError):
     """Config, dataset, and model dimensions disagree."""
 
 
-def _model_input_dim(model) -> int:
-    return model.m
-
-
-def _check_model_data(model, cs) -> None:
+def _load(cfg: ExperimentConfig, data_path: str, model_path: str):
+    """The dataset and model files, checked to agree on the channel length M."""
+    cs = fileio.read_dataset(data_path, sample_rate=cfg.sample_rate())
+    model = fileio.read_model(model_path)
     m = cs.channels.shape[1]
-    if _model_input_dim(model) != m:
-        raise DimensionError(f"model expects M={_model_input_dim(model)} "
-                             f"channel entries, dataset has M={m}")
-
-
-def _load_dataset(cfg: ExperimentConfig, path: str):
-    return fileio.read_dataset(path, sample_rate=cfg.sample_rate())
+    if model.m != m:
+        raise DimensionError(f"model expects M={model.m} channel entries, dataset has M={m}")
+    return cs, model
 
 
 def _eval_indices(cfg: ExperimentConfig, n: int):
@@ -59,25 +54,33 @@ def _eval_indices(cfg: ExperimentConfig, n: int):
 # verbs
 
 
-def cmd_generate(cfg: ExperimentConfig, out_path: str) -> int:
+def _synthesize(cfg: ExperimentConfig):
+    """The scenario's channel set, checked against its expected sample count."""
     traj, radio, scat, n_expect = cfg.scenario_objects()
     track = synthgen.generate_trajectory(traj)
     cs = synthgen.synthesize_channels(track, radio, scat, sample_rate=traj.sample_rate)
     if n_expect is not None and cs.channels.shape[0] != n_expect:
         raise DimensionError(f"scenario produced {cs.channels.shape[0]} samples, "
                              f"expected {n_expect}")
+    return cs
+
+
+def cmd_generate(cfg: ExperimentConfig, out_path: str) -> int:
+    cs = _synthesize(cfg)
     fileio.write_dataset(out_path, cs)
     n, m = cs.channels.shape
     print(f"generate: wrote {out_path} with N={n} samples, M={m} channel entries")
     return 0
 
 
-def _init_model(cfg: ExperimentConfig, cs):
-    e = cfg.encoder
-    if e.init == "smart":
-        return encoder.init_smart(cs, e.n_init, e.k_iso, e.k, e.d_out, cfg.seeds["init"])
-    return encoder.init_random(cs.channels.shape[1], e.n_init, e.k, e.d_out,
-                               cfg.seeds["init"])
+def _init_model(cfg: ExperimentConfig, cs, kind: str):
+    """A fresh encoder of kind smart, random (hybrid) or mlp."""
+    e, seed, m = cfg.encoder, cfg.seeds["init"], cs.channels.shape[1]
+    if kind == "smart":
+        return encoder.init_smart(cs, e.n_init, e.k_iso, e.k, e.d_out, seed)
+    if kind == "random":
+        return encoder.init_random(m, e.n_init, e.k, e.d_out, seed)
+    return encoder.mlp_init(m, seed, d_out=e.d_out)
 
 
 def _check_encoder_fits(cfg: ExperimentConfig, n: int, smart: bool) -> None:
@@ -90,9 +93,9 @@ def _check_encoder_fits(cfg: ExperimentConfig, n: int, smart: bool) -> None:
 
 
 def cmd_init(cfg: ExperimentConfig, data_path: str, out_path: str) -> int:
-    cs = _load_dataset(cfg, data_path)
+    cs = fileio.read_dataset(data_path, sample_rate=cfg.sample_rate())
     _check_encoder_fits(cfg, cs.channels.shape[0], cfg.encoder.init == "smart")
-    model = _init_model(cfg, cs)
+    model = _init_model(cfg, cs, cfg.encoder.init)
     fileio.write_model(out_path, model)
     print(f"init: wrote {out_path} ({cfg.encoder.init} init, "
           f"{encoder.count_params(model)} parameters)")
@@ -101,9 +104,7 @@ def cmd_init(cfg: ExperimentConfig, data_path: str, out_path: str) -> int:
 
 def cmd_train(cfg: ExperimentConfig, data_path: str, model_in: str,
               model_out: str, loss_path: str | None) -> int:
-    cs = _load_dataset(cfg, data_path)
-    model = fileio.read_model(model_in)
-    _check_model_data(model, cs)
+    cs, model = _load(cfg, data_path, model_in)
     mining = cfg.mining_config(cs.sample_rate)
     report = train(model, cs, cfg.train_config(), mining)
     fileio.write_model(model_out, model)
@@ -117,9 +118,7 @@ def cmd_train(cfg: ExperimentConfig, data_path: str, model_in: str,
 
 def cmd_eval(cfg: ExperimentConfig, data_path: str, model_path: str,
              out_path: str) -> int:
-    cs = _load_dataset(cfg, data_path)
-    model = fileio.read_model(model_path)
-    _check_model_data(model, cs)
+    cs, model = _load(cfg, data_path, model_path)
     _, eval_idx = _eval_indices(cfg, cs.channels.shape[0])
     report = evalmetrics.evaluate(model, cs, eval_idx, cfg.k_grid)
     fileio.write_text(out_path, report.to_csv())
@@ -131,9 +130,7 @@ def cmd_eval(cfg: ExperimentConfig, data_path: str, model_path: str,
 
 def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
               out_base: str) -> int:
-    cs = _load_dataset(cfg, data_path)
-    model = fileio.read_model(model_path)
-    _check_model_data(model, cs)
+    cs, model = _load(cfg, data_path, model_path)
     if model.d_out != 2:
         raise DimensionError(f"chart export needs a 2-D chart, model has d_out={model.d_out}")
     chart, ok = encoder.chart_batch(model, cs.channels)
@@ -148,30 +145,15 @@ def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    traj, radio, scat, n_expect = cfg.scenario_objects()
-    track = synthgen.generate_trajectory(traj)
-    cs = synthgen.synthesize_channels(track, radio, scat, sample_rate=traj.sample_rate)
-    if n_expect is not None and cs.channels.shape[0] != n_expect:
-        raise DimensionError(f"scenario produced {cs.channels.shape[0]} samples, "
-                             f"expected {n_expect}")
-    n, m = cs.channels.shape
+    cs = _synthesize(cfg)
+    n = cs.channels.shape[0]
     _check_encoder_fits(cfg, n, smart=True)  # compare always runs the smart arm
     _, eval_idx = _eval_indices(cfg, n)
     mining = cfg.mining_config(cs.sample_rate)
-    e = cfg.encoder
-
-    arms = [
-        ("smart", lambda: encoder.init_smart(cs, e.n_init, e.k_iso, e.k, e.d_out,
-                                             cfg.seeds["init"])),
-        ("random", lambda: encoder.init_random(m, e.n_init, e.k, e.d_out,
-                                               cfg.seeds["init"])),
-    ]
-    if cfg.baseline_mlp:
-        arms.append(("mlp", lambda: encoder.mlp_init(m, cfg.seeds["init"], d_out=e.d_out)))
 
     lines = ["arm,phase,K,K_frac,trustworthiness,continuity"]
-    for name, build in arms:
-        model = build()
+    for name in ("smart", "random", "mlp") if cfg.baseline_mlp else ("smart", "random"):
+        model = _init_model(cfg, cs, name)
         for phase in ("untrained", "trained"):
             if phase == "trained":
                 report = train(model, cs, cfg.train_config(), mining)

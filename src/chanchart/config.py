@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 from .evalmetrics import DEFAULT_K_GRID
 from .rng import substream
@@ -69,8 +69,12 @@ def _as_int(v, where: str) -> int:
 
 
 def _as_float(v, where: str) -> float:
-    # json accepts NaN and Infinity; no field takes them
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    # json accepts NaN, Infinity and integers past the float range; no field takes them
+    try:
+        ok = not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ConfigError(f"{where}: expected a finite number, got {v!r}")
     return float(v)
 
@@ -92,6 +96,12 @@ def _as_str(v, where: str) -> str:
     if not isinstance(v, str):
         raise ConfigError(f"{where}: expected a string, got {v!r}")
     return v
+
+
+def _as_floats(v, where: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where}: expected a non-empty list of numbers")
+    return [_as_float(x, f"{where}[{i}]") for i, x in enumerate(v)]
 
 
 def _as_point_list(v, dim: int, where: str) -> list:
@@ -118,55 +128,41 @@ class EncoderSettings:
     init: str = "smart"
 
     def __post_init__(self):
-        if self.n_init < 1 or self.k < 1 or self.k_iso < 1 or self.d_out < 1:
-            raise ConfigError("encoder: n_init, k, k_iso, d_out must be >= 1")
+        for name in ("n_init", "k", "k_iso", "d_out"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.init not in ("smart", "random"):
-            raise ConfigError(f"encoder.init: expected 'smart' or 'random', got {self.init!r}")
+            raise ValueError(f"init: expected 'smart' or 'random', got {self.init!r}")
 
 
-@dataclass
-class MiningSettings:
-    t_close: float = 100.0
-    t_far: float = 290.0
-    per_anchor: int = 1
-
-    def __post_init__(self):
-        if not (0.0 < self.t_close < self.t_far):
-            raise ConfigError("mining: need 0 < t_close < t_far")
-        if self.per_anchor < 1:
-            raise ConfigError("mining.per_anchor must be >= 1")
+# Runtime fields that no section sets: stage seeds come from the seeds
+# section, and the sampling rate from the dataset that is mined.
+_DERIVED = ("seed", "sample_rate")
+_PARSE = {"int": _as_int, "float": _as_float, "str": _as_str}
 
 
-@dataclass
-class TrainingSettings:
-    epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    margin: float = 1.0
-    split_ratio: float = 0.7
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("training: epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.margin < 0:
-            raise ConfigError("training: learning_rate must be > 0 and margin >= 0")
-        if not (0.0 < self.split_ratio < 1.0):
-            raise ConfigError("training.split_ratio must lie in (0, 1)")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("training: beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("training.eps must be > 0")
+def _section_dict(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in _DERIVED}
 
 
-_RADIO_KEYS = {"n_rows", "n_cols", "n_subcarriers", "f_c", "bandwidth",
-               "antenna_spacing", "bs_position"}
+def _section(d: dict, cls, where: str, **derived):
+    """Build the dataclass ``cls`` from one section; absent keys keep the field defaults.
+
+    Unknown keys are rejected, and each value is type-checked by its field's
+    annotation.  The dataclass's own range checks raise ValueError naming
+    the field first, reported here as ConfigError on the dotted key.
+    """
+    types = {f.name: f.type for f in fields(cls) if f.name not in _DERIVED}
+    _check_keys(d, set(types), set(), where)
+    kw = {key: _PARSE[types[key]](v, f"{where}.{key}") for key, v in d.items()}
+    try:
+        return cls(**kw, **derived)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def _parse_radio(d: dict, where: str) -> RadioConfig:
-    _check_keys(d, _RADIO_KEYS, set(), where)
+    _check_keys(d, {f.name for f in fields(RadioConfig)}, set(), where)
     kw = {}
     for key in ("n_rows", "n_cols", "n_subcarriers"):
         if key in d:
@@ -183,10 +179,14 @@ def _parse_radio(d: dict, where: str) -> RadioConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_LOOP_KEYS = {"kind", "n_samples", "geometry_samples", "jitter_sigma"}
-_EXPLICIT_KEYS = {"kind", "trajectory", "radio", "scatterers"}
-_TRAJ_KEYS = {"waypoints", "speed", "sample_rate", "jitter_sigma"}
-_SCAT_KEYS = {"points", "gains"}
+def _parse_scatterers(d: dict, where: str) -> ScattererSet:
+    _check_keys(d, {"points", "gains"}, {"points", "gains"}, where)
+    points = _as_point_list(d["points"], 3, f"{where}.points")
+    gains = _as_floats(d["gains"], f"{where}.gains")
+    try:
+        return ScattererSet(points=points, gains=gains)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_scenario(d: dict) -> dict:
@@ -194,7 +194,8 @@ def _parse_scenario(d: dict) -> dict:
         raise ConfigError("scenario: expected an object")
     kind = _as_str(d.get("kind", "loop"), "scenario.kind")
     if kind == "loop":
-        _check_keys(d, _LOOP_KEYS, {"n_samples"}, "scenario")
+        _check_keys(d, {"kind", "n_samples", "geometry_samples", "jitter_sigma"},
+                    {"n_samples"}, "scenario")
         out = {"kind": "loop", "n_samples": _as_int(d["n_samples"], "scenario.n_samples")}
         if out["n_samples"] < 2:
             raise ConfigError("scenario.n_samples must be >= 2")
@@ -206,31 +207,23 @@ def _parse_scenario(d: dict) -> dict:
                                               "scenario.jitter_sigma")
         return out
     if kind == "explicit":
-        _check_keys(d, _EXPLICIT_KEYS, {"trajectory", "radio", "scatterers"}, "scenario")
+        _check_keys(d, {"kind", "trajectory", "radio", "scatterers"},
+                    {"trajectory", "radio", "scatterers"}, "scenario")
         traj = d["trajectory"]
-        _check_keys(traj, _TRAJ_KEYS, {"waypoints", "speed", "sample_rate"}, "scenario.trajectory")
-        sc = d["scatterers"]
-        _check_keys(sc, _SCAT_KEYS, {"points", "gains"}, "scenario.scatterers")
-        out = {
-            "kind": "explicit",
-            "trajectory": {
-                "waypoints": _as_point_list(traj["waypoints"], 2, "scenario.trajectory.waypoints"),
-                "speed": _as_float(traj["speed"], "scenario.trajectory.speed"),
-                "sample_rate": _as_float(traj["sample_rate"], "scenario.trajectory.sample_rate"),
-                "jitter_sigma": _as_nonnegative(traj.get("jitter_sigma", 0.0),
-                                                "scenario.trajectory.jitter_sigma"),
-            },
-            "radio": dict(d["radio"]) if isinstance(d["radio"], dict) else d["radio"],
-            "scatterers": {
-                "points": _as_point_list(sc["points"], 3, "scenario.scatterers.points"),
-                "gains": [_as_float(g, f"scenario.scatterers.gains[{i}]")
-                          for i, g in enumerate(sc["gains"])],
-            },
+        _check_keys(traj, {"waypoints", "speed", "sample_rate", "jitter_sigma"},
+                    {"waypoints", "speed", "sample_rate"}, "scenario.trajectory")
+        trajectory = {
+            "waypoints": _as_point_list(traj["waypoints"], 2, "scenario.trajectory.waypoints"),
+            "speed": _as_float(traj["speed"], "scenario.trajectory.speed"),
+            "sample_rate": _as_float(traj["sample_rate"], "scenario.trajectory.sample_rate"),
+            "jitter_sigma": _as_nonnegative(traj.get("jitter_sigma", 0.0),
+                                            "scenario.trajectory.jitter_sigma"),
         }
-        _parse_radio(out["radio"], "scenario.radio")  # validate now, build later
-        if len(out["scatterers"]["gains"]) != len(out["scatterers"]["points"]):
-            raise ConfigError("scenario.scatterers: points and gains must have equal length")
-        return out
+        # scatterers and radio are validated now and built again by scenario_objects
+        scat = _parse_scatterers(d["scatterers"], "scenario.scatterers")
+        _parse_radio(d["radio"], "scenario.radio")
+        return {"kind": "explicit", "trajectory": trajectory, "radio": dict(d["radio"]),
+                "scatterers": {"points": scat.points, "gains": scat.gains}}
     raise ConfigError(f"scenario.kind: expected 'loop' or 'explicit', got {kind!r}")
 
 
@@ -238,81 +231,51 @@ def _parse_scenario(d: dict) -> dict:
 # the document
 
 
-_TOP_KEYS = {"scenario", "encoder", "mining", "training", "eval", "seeds", "baseline"}
-_ENCODER_KEYS = {"n_init", "k", "k_iso", "d_out", "init"}
-_MINING_KEYS = {"t_close", "t_far", "per_anchor"}
-_TRAINING_KEYS = {"epochs", "batch_size", "learning_rate", "beta1", "beta2",
-                  "eps", "margin", "split_ratio"}
-_EVAL_KEYS = {"k_grid"}
-_BASELINE_KEYS = {"mlp"}
-
-
 @dataclass
 class ExperimentConfig:
-    """Validated, fully resolved experiment description."""
+    """Validated, fully resolved experiment description.
+
+    ``training`` and ``mining`` carry their stage seeds; ``mining``'s
+    sampling rate is NaN until ``mining_config`` sets the dataset's.
+    """
 
     scenario: dict
-    encoder: EncoderSettings = field(default_factory=EncoderSettings)
-    mining: MiningSettings = field(default_factory=MiningSettings)
-    training: TrainingSettings = field(default_factory=TrainingSettings)
-    k_grid: tuple = DEFAULT_K_GRID
-    seeds: dict = field(default_factory=lambda: derive_seeds(0))
-    baseline_mlp: bool = True
+    encoder: EncoderSettings
+    mining: MiningConfig
+    training: TrainConfig
+    k_grid: tuple
+    seeds: dict
+    baseline_mlp: bool
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        _check_keys(doc, _TOP_KEYS, {"scenario"}, "config")
+        _check_keys(doc, {"scenario", "encoder", "mining", "training", "eval", "seeds",
+                          "baseline"}, {"scenario"}, "config")
         scenario = _parse_scenario(doc["scenario"])
-
-        enc = doc.get("encoder", {})
-        _check_keys(enc, _ENCODER_KEYS, set(), "encoder")
-        encoder = EncoderSettings(
-            n_init=_as_int(enc.get("n_init", 100), "encoder.n_init"),
-            k=_as_int(enc.get("k", 5), "encoder.k"),
-            k_iso=_as_int(enc.get("k_iso", 5), "encoder.k_iso"),
-            d_out=_as_int(enc.get("d_out", 2), "encoder.d_out"),
-            init=_as_str(enc.get("init", "smart"), "encoder.init"))
-
-        mi = doc.get("mining", {})
-        _check_keys(mi, _MINING_KEYS, set(), "mining")
-        mining = MiningSettings(
-            t_close=_as_float(mi.get("t_close", 100.0), "mining.t_close"),
-            t_far=_as_float(mi.get("t_far", 290.0), "mining.t_far"),
-            per_anchor=_as_int(mi.get("per_anchor", 1), "mining.per_anchor"))
-
-        tr = doc.get("training", {})
-        _check_keys(tr, _TRAINING_KEYS, set(), "training")
-        defaults = TrainingSettings()
-        training = TrainingSettings(
-            epochs=_as_int(tr.get("epochs", defaults.epochs), "training.epochs"),
-            batch_size=_as_int(tr.get("batch_size", defaults.batch_size), "training.batch_size"),
-            learning_rate=_as_float(tr.get("learning_rate", defaults.learning_rate),
-                                    "training.learning_rate"),
-            beta1=_as_float(tr.get("beta1", defaults.beta1), "training.beta1"),
-            beta2=_as_float(tr.get("beta2", defaults.beta2), "training.beta2"),
-            eps=_as_float(tr.get("eps", defaults.eps), "training.eps"),
-            margin=_as_float(tr.get("margin", defaults.margin), "training.margin"),
-            split_ratio=_as_float(tr.get("split_ratio", defaults.split_ratio),
-                                  "training.split_ratio"))
-
-        ev = doc.get("eval", {})
-        _check_keys(ev, _EVAL_KEYS, set(), "eval")
-        grid = ev.get("k_grid", list(DEFAULT_K_GRID))
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("eval.k_grid: expected a non-empty list of fractions")
-        k_grid = tuple(_as_float(g, f"eval.k_grid[{i}]") for i, g in enumerate(grid))
-        for g in k_grid:
-            if not (0.0 < g <= 1.0):
-                raise ConfigError(f"eval.k_grid: fraction {g!r} outside (0, 1]")
+        encoder = _section(doc.get("encoder", {}), EncoderSettings, "encoder")
 
         sd = doc.get("seeds", derive_seeds(0))
         _check_keys(sd, set(STAGES), set(STAGES), "seeds")
         seeds = {stage: _as_int(sd[stage], f"seeds.{stage}") for stage in STAGES}
 
+        mining = _section(doc.get("mining", {}), MiningConfig, "mining",
+                          sample_rate=math.nan, seed=seeds["mining"])
+        training = _section(doc.get("training", {}), TrainConfig, "training",
+                            seed=seeds["training"])
+        if training.epochs < 1:  # TrainConfig itself allows 0 epochs, a no-op
+            raise ConfigError("training.epochs must be >= 1")
+
+        ev = doc.get("eval", {})
+        _check_keys(ev, {"k_grid"}, set(), "eval")
+        k_grid = tuple(_as_floats(ev.get("k_grid", list(DEFAULT_K_GRID)), "eval.k_grid"))
+        for g in k_grid:
+            if not (0.0 < g <= 1.0):
+                raise ConfigError(f"eval.k_grid: fraction {g!r} outside (0, 1]")
+
         ba = doc.get("baseline", {})
-        _check_keys(ba, _BASELINE_KEYS, set(), "baseline")
+        _check_keys(ba, {"mlp"}, set(), "baseline")
         baseline_mlp = _as_bool(ba.get("mlp", True), "baseline.mlp")
 
         return ExperimentConfig(scenario=scenario, encoder=encoder, mining=mining,
@@ -326,23 +289,16 @@ class ExperimentConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
         return ExperimentConfig.from_dict(doc)
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        e, m, t = self.encoder, self.mining, self.training
         return {
             "scenario": json.loads(json.dumps(self.scenario)),
-            "encoder": {"n_init": e.n_init, "k": e.k, "k_iso": e.k_iso,
-                        "d_out": e.d_out, "init": e.init},
-            "mining": {"t_close": m.t_close, "t_far": m.t_far, "per_anchor": m.per_anchor},
-            "training": {"epochs": t.epochs, "batch_size": t.batch_size,
-                         "learning_rate": t.learning_rate, "beta1": t.beta1,
-                         "beta2": t.beta2, "eps": t.eps, "margin": t.margin,
-                         "split_ratio": t.split_ratio},
+            "encoder": _section_dict(self.encoder),
+            "mining": _section_dict(self.mining),
+            "training": _section_dict(self.training),
             "eval": {"k_grid": list(self.k_grid)},
             "seeds": dict(self.seeds),
             "baseline": {"mlp": self.baseline_mlp},
@@ -376,9 +332,7 @@ class ExperimentConfig:
                                 sample_rate=tr["sample_rate"],
                                 jitter_sigma=tr["jitter_sigma"], seed=seed)
         radio = _parse_radio(sc["radio"], "scenario.radio")
-        scat = ScattererSet(points=sc["scatterers"]["points"],
-                            gains=sc["scatterers"]["gains"])
-        return traj, radio, scat, None
+        return traj, radio, ScattererSet(**sc["scatterers"]), None
 
     def sample_rate(self) -> float:
         """The sampling rate implied by the scenario, samples per second."""
@@ -386,33 +340,19 @@ class ExperimentConfig:
         return traj.sample_rate
 
     def mining_config(self, sample_rate: float) -> MiningConfig:
-        return MiningConfig(t_close=self.mining.t_close, t_far=self.mining.t_far,
-                            sample_rate=sample_rate, per_anchor=self.mining.per_anchor,
-                            seed=self.seeds["mining"])
+        return replace(self.mining, sample_rate=sample_rate)
 
     def train_config(self) -> TrainConfig:
-        t = self.training
-        return TrainConfig(epochs=t.epochs, batch_size=t.batch_size,
-                           learning_rate=t.learning_rate, beta1=t.beta1, beta2=t.beta2,
-                           eps=t.eps, margin=t.margin, split_ratio=t.split_ratio,
-                           seed=self.seeds["training"])
+        return replace(self.training)
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: each gives its scenario and only the values that differ from the
+# section defaults, which are the full-size ``default`` experiment's values
 
 
 def _preset_default() -> dict:
-    return {
-        "scenario": {"kind": "loop", "n_samples": 5910, "jitter_sigma": 0.05},
-        "encoder": {"n_init": 100, "k": 5, "k_iso": 5, "d_out": 2, "init": "smart"},
-        "mining": {"t_close": 100.0, "t_far": 290.0, "per_anchor": 1},
-        "training": {"epochs": 30, "batch_size": 64, "learning_rate": 1e-3,
-                     "margin": 1.0, "split_ratio": 0.7},
-        "eval": {"k_grid": list(DEFAULT_K_GRID)},
-        "seeds": derive_seeds(0),
-        "baseline": {"mlp": True},
-    }
+    return {"scenario": {"kind": "loop", "n_samples": 5910, "jitter_sigma": 0.05}}
 
 
 def _preset_desk() -> dict:
@@ -425,13 +365,9 @@ def _preset_desk() -> dict:
     return {
         "scenario": {"kind": "loop", "n_samples": 2000, "geometry_samples": 8865,
                      "jitter_sigma": 0.05},
-        "encoder": {"n_init": 100, "k": 5, "k_iso": 5, "d_out": 2, "init": "smart"},
-        "mining": {"t_close": 100.0, "t_far": 290.0, "per_anchor": 2},
-        "training": {"epochs": 30, "batch_size": 64, "learning_rate": 3e-4,
-                     "margin": 1.0, "split_ratio": 0.7},
-        "eval": {"k_grid": list(DEFAULT_K_GRID)},
+        "mining": {"per_anchor": 2},
+        "training": {"learning_rate": 3e-4},
         "seeds": derive_seeds(1),
-        "baseline": {"mlp": True},
     }
 
 
@@ -442,13 +378,9 @@ def _preset_tiny() -> dict:
     return {
         "scenario": {"kind": "loop", "n_samples": 200, "geometry_samples": 2000,
                      "jitter_sigma": 0.05},
-        "encoder": {"n_init": 30, "k": 5, "k_iso": 5, "d_out": 2, "init": "random"},
-        "mining": {"t_close": 4.0, "t_far": 12.0, "per_anchor": 1},
-        "training": {"epochs": 3, "batch_size": 32, "learning_rate": 1e-3,
-                     "margin": 1.0, "split_ratio": 0.7},
-        "eval": {"k_grid": list(DEFAULT_K_GRID)},
-        "seeds": derive_seeds(0),
-        "baseline": {"mlp": True},
+        "encoder": {"n_init": 30, "init": "random"},
+        "mining": {"t_close": 4.0, "t_far": 12.0},
+        "training": {"epochs": 3, "batch_size": 32},
     }
 
 

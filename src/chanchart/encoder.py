@@ -8,11 +8,20 @@ one, and output the weighted average of the corresponding chart anchors
 anchor matrix Z are trainable.  The whole map is invariant to scaling and
 global phase of the input by construction.
 
-Backward passes are hand-derived reverse mode; batched variants exist for
-the trainer and evaluator hot paths and must agree with the per-sample
-reference implementations.  The batched backward multiplies only the live
+Backward passes are hand-derived reverse mode over batches of rows; the
+per-sample ``forward``, ``backward``, ``mlp_forward`` and ``mlp_backward``
+run them on a batch of one.  The batched backward multiplies only the live
 rows -- chartable rows whose output gradient is nonzero -- into the
 dictionary gradients: every other row would add exact zeros.
+
+Both parameter classes implement the one encoder interface that the
+trainer, the chart code, the parameter count and the model writer use:
+``KIND`` is the model kind in ``CCM1`` files; ``arrays()`` lists the
+parameter arrays in Adam and file order; ``forward_rows(channels,
+index=None)`` charts ``channels`` (or the rows ``channels[index]``) and
+returns ``(z, ok, cache)``, ``ok`` flagging the chartable rows; and
+``backward_rows(cache, gz)`` returns the batch-summed gradients of
+``sum(gz * z)``, one per array, to which not-ok rows add nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ class DegenerateInputError(ValueError):
 @dataclass
 class EncoderParams:
     """Hybrid encoder parameters: dictionary (as a real pair) and chart anchors."""
+
+    KIND = 0
 
     d_re: np.ndarray  # (m, n_init)
     d_im: np.ndarray  # (m, n_init)
@@ -59,26 +70,33 @@ class EncoderParams:
     def d_out(self) -> int:
         return self.z.shape[0]
 
-    def dictionary(self) -> np.ndarray:
-        return self.d_re + 1j * self.d_im
+    def arrays(self) -> list:
+        return [self.d_re, self.d_im, self.z]
+
+    def forward_rows(self, channels: np.ndarray, index=None):
+        z, cache = forward_batch(self, channels, index)
+        return z, cache.ok, cache
+
+    def backward_rows(self, cache, gz: np.ndarray):
+        return backward_batch(self, cache, gz)
 
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one hybrid forward pass, as needed by backward."""
+    """One charted channel: its one-row batch cache, moduli, kept indices, normalizer, code."""
 
-    a_re: np.ndarray
-    a_im: np.ndarray
+    batch: BatchCache
     b: np.ndarray
     kept: np.ndarray
     s: float
     d: np.ndarray
-    z_out: np.ndarray
 
 
 @dataclass
 class MlpParams:
     """Bias-free dense stack; weights[i] has shape (out_i, in_i), dims chain."""
+
+    KIND = 1
 
     weights: list = field(default_factory=list)
 
@@ -94,6 +112,18 @@ class MlpParams:
     @property
     def d_out(self) -> int:
         return self.weights[-1].shape[0]
+
+    def arrays(self) -> list:
+        return list(self.weights)
+
+    def forward_rows(self, channels: np.ndarray, index=None):
+        rows = channels if index is None else channels[index]
+        z, activations, ok = mlp_forward_batch(self, rows)
+        return z, ok, (activations, ok)
+
+    def backward_rows(self, cache, gz: np.ndarray):
+        activations, ok = cache
+        return mlp_backward_batch(self, activations, gz, ok)
 
 
 def _top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
@@ -115,69 +145,33 @@ def _top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
     return above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= need))
 
 
-def hard_threshold(v: np.ndarray, k: int):
-    """Keep the k largest entries (ties toward the lower index), zero the rest.
-
-    Returns (thresholded copy, kept index array sorted ascending).  k beyond
-    the vector length keeps everything.
-    """
-    v = np.asarray(v)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mask = _top_k_mask(v, k)
-    out = np.zeros_like(v)
-    out[mask] = v[mask]
-    return out, np.flatnonzero(mask)
-
-
 def forward(p: EncoderParams, h: np.ndarray):
     """Chart one channel vector; returns (z, cache).
 
-    Raises DegenerateInputError when every kept correlation modulus is zero
-    (the normalizer would vanish).  The correlation a = D^H h is evaluated
-    with real matvecs and the modulus as sqrt(re^2 + im^2): under those
-    operations, exact power-of-two input scalings and quarter-turn phase
-    rotations reproduce the output bit-for-bit.
+    A batch-of-one ``forward_batch``.  Raises DegenerateInputError when every
+    kept correlation modulus is zero (the normalizer would vanish).  The
+    correlation is evaluated with real products and the modulus as
+    sqrt(re^2 + im^2): under those operations, exact power-of-two input
+    scalings and quarter-turn phase rotations reproduce the output
+    bit-for-bit.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    h_re = np.ascontiguousarray(h.real)
-    h_im = np.ascontiguousarray(h.imag)
-    a_re = p.d_re.T @ h_re + p.d_im.T @ h_im
-    a_im = p.d_re.T @ h_im - p.d_im.T @ h_re
-    b = np.sqrt(a_re * a_re + a_im * a_im)
-    _, ht_kept = hard_threshold(b, p.k)
-    kept = ht_kept[b[ht_kept] > 0.0]
-    if kept.size == 0:
+    z, c = forward_batch(p, np.asarray(h, dtype=np.complex128)[None, :])
+    if not c.ok[0]:
         raise DegenerateInputError("degenerate correlation: channel uncorrelated with every kept column")
-    s = float(np.sum(b[kept]))
-    d = np.zeros(p.n_init)
-    d[kept] = b[kept] / s
-    z = p.z @ d
-    cache = ForwardCache(a_re=a_re, a_im=a_im, b=b, kept=kept, s=s, d=d, z_out=z)
-    return z, cache
+    return z[0], ForwardCache(batch=c, b=c.b[0], kept=np.flatnonzero(c.kept_mask[0]),
+                              s=float(c.s[0]), d=c.d[0])
 
 
 def backward(p: EncoderParams, cache: ForwardCache, h: np.ndarray, gz: np.ndarray):
     """Gradients of (gz . z) w.r.t. (d_re, d_im, z) for one forward pass.
 
-    Gradient flows only through the kept indices; the modulus subgradient at
-    zero is zero.  Returns dense (m, n_init), (m, n_init), (d_out, n_init)
-    arrays, zero outside the kept columns.
+    A batch-of-one ``backward_batch``; ``h`` is the charted channel, whose
+    planes the cache already holds.  Gradient flows only through the kept
+    indices; the modulus subgradient at zero is zero.  Returns dense
+    (m, n_init), (m, n_init), (d_out, n_init) arrays, zero outside the kept
+    columns.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    gz = np.asarray(gz, dtype=np.float64)
-    kept = cache.kept
-    gz_mat = np.outer(gz, cache.d)
-    gd = p.z.T @ gz
-    inner = float(np.dot(gd[kept], cache.d[kept]))
-    gc = (gd[kept] - inner) / cache.s
-    ga_re = gc * cache.a_re[kept] / cache.b[kept]
-    ga_im = gc * cache.a_im[kept] / cache.b[kept]
-    gd_re = np.zeros((p.m, p.n_init))
-    gd_im = np.zeros((p.m, p.n_init))
-    gd_re[:, kept] = np.outer(h.real, ga_re) + np.outer(h.imag, ga_im)
-    gd_im[:, kept] = np.outer(h.imag, ga_re) - np.outer(h.real, ga_im)
-    return gd_re, gd_im, gz_mat
+    return backward_batch(p, cache.batch, np.asarray(gz, dtype=np.float64)[None, :])
 
 
 @dataclass
@@ -296,36 +290,21 @@ def mlp_init(m: int, seed: int, hidden=MLP_HIDDEN, d_out: int = 2) -> MlpParams:
 
 
 def mlp_forward(p: MlpParams, h: np.ndarray):
-    """Chart one channel through the MLP; returns (z, cache of activations)."""
-    h = np.asarray(h, dtype=np.complex128)
-    x = np.concatenate([h.real, h.imag])
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
+    """Chart one channel through the MLP; returns (z, activations).
+
+    A batch-of-one ``mlp_forward_batch``; a zero channel raises
+    DegenerateInputError.
+    """
+    z, activations, ok = mlp_forward_batch(p, np.asarray(h, dtype=np.complex128)[None, :])
+    if not ok[0]:
         raise DegenerateInputError("zero channel cannot be normalized")
-    x = x / norm
-    activations = [x]
-    for i, w in enumerate(p.weights):
-        x = w @ x
-        if i < len(p.weights) - 1:
-            x = np.maximum(x, 0.0)
-        activations.append(x)
-    return activations[-1], activations
+    return z[0], activations
 
 
 def mlp_backward(p: MlpParams, activations: list, gz: np.ndarray):
-    """Gradients of (gz . z) w.r.t. each weight matrix.
-
-    The gradient w.r.t. the network input is not formed: nothing reads it.
-    """
-    g = np.asarray(gz, dtype=np.float64)
-    grads = [None] * len(p.weights)
-    for i in range(len(p.weights) - 1, -1, -1):
-        if i < len(p.weights) - 1:
-            g = g * (activations[i + 1] > 0.0)
-        grads[i] = np.outer(g, activations[i])
-        if i > 0:
-            g = p.weights[i].T @ g
-    return grads
+    """Gradients of (gz . z) w.r.t. each weight matrix: a batch-of-one ``mlp_backward_batch``."""
+    return mlp_backward_batch(p, activations, np.asarray(gz, dtype=np.float64)[None, :],
+                              np.ones(1, dtype=bool))
 
 
 def mlp_forward_batch(p: MlpParams, channels: np.ndarray):
@@ -348,8 +327,8 @@ def mlp_forward_batch(p: MlpParams, channels: np.ndarray):
 def mlp_backward_batch(p: MlpParams, activations: list, gz: np.ndarray, ok: np.ndarray):
     """Batch-summed MLP weight gradients; rows with ok=False contribute nothing.
 
-    As in mlp_backward, the layer-0 input gradient (a (n, 2m) product that
-    nothing reads) is skipped.
+    The layer-0 input gradient (a (n, 2m) product that nothing reads) is
+    skipped.
     """
     g = np.array(gz, dtype=np.float64)
     g[~ok] = 0.0
@@ -374,26 +353,19 @@ def mlp_param_count(dims) -> int:
 
 
 def count_params(model) -> int:
-    """Trainable parameter count of either encoder type."""
-    if isinstance(model, EncoderParams):
-        return model.d_re.size + model.d_im.size + model.z.size
-    if isinstance(model, MlpParams):
-        return sum(w.size for w in model.weights)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    """Trainable parameter count of an encoder."""
+    return sum(a.size for a in model.arrays())
 
 
 def _chart_block(model, channels: np.ndarray):
-    """Chart one block of channels with either encoder; returns (z, ok mask)."""
-    if isinstance(model, EncoderParams):
-        z, cache = forward_batch(model, channels)
-        return z, cache.ok
-    if isinstance(model, MlpParams):
-        z, _, ok = mlp_forward_batch(model, channels)
-        return z, ok
+    """Chart one block of channels with an encoder or a callable; returns (z, ok mask)."""
     if callable(model):
         z = np.asarray(model(channels), dtype=np.float64)
         return z, np.ones(z.shape[0], dtype=bool)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    if not hasattr(model, "forward_rows"):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    z, ok, _ = model.forward_rows(channels)
+    return z, ok
 
 
 # chart_batch charts this many rows per encoder call.  Blocks of 500 rows or
@@ -410,8 +382,8 @@ def chart_batch(model, channels: np.ndarray, index=None):
     Charts ``channels`` (or, given ``index``, the rows ``channels[index]``)
     in blocks of CHART_ROWS rows, so the encoder's per-row intermediates
     never exceed one block; each block of selected rows is gathered only
-    when it is charted.  The model may be EncoderParams, MlpParams, or a
-    callable mapping an (n, M) channel block to an (n, d) chart block.
+    when it is charted.  The model may be an encoder (EncoderParams or
+    MlpParams), or a callable mapping an (n, M) channel block to an (n, d) chart block.
     """
     n = channels.shape[0] if index is None else len(index)
     z = ok = None

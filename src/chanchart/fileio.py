@@ -33,9 +33,6 @@ from .synthgen import ChannelSet
 MAGIC_DATASET = b"CCD1"
 MAGIC_MODEL = b"CCM1"
 
-KIND_HYBRID = 0
-KIND_MLP = 1
-
 
 class FileFormatError(ValueError):
     """Raised when a dataset/model file is truncated, oversized, mislabeled, or non-finite."""
@@ -133,22 +130,19 @@ def read_dataset(path: str, sample_rate: float = 7.0) -> ChannelSet:
 
 
 def write_model(path: str, model) -> None:
+    kind = getattr(model, "KIND", None)
+    if kind == EncoderParams.KIND:
+        header = (model.m, model.n_init, model.d_out, model.k)
+    elif kind == MlpParams.KIND:
+        dims = [model.weights[0].shape[1]] + [w.shape[0] for w in model.weights]
+        header = (len(model.weights), *dims)
+    else:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     with open(path, "wb") as fh:
         fh.write(MAGIC_MODEL)
-        if isinstance(model, EncoderParams):
-            fh.write(struct.pack("<Q", KIND_HYBRID))
-            fh.write(struct.pack("<4Q", model.m, model.n_init, model.d_out, model.k))
-            for arr in (model.d_re, model.d_im, model.z):
-                _write_f64(fh, arr)
-        elif isinstance(model, MlpParams):
-            fh.write(struct.pack("<Q", KIND_MLP))
-            dims = [model.weights[0].shape[1]] + [w.shape[0] for w in model.weights]
-            fh.write(struct.pack("<Q", len(model.weights)))
-            fh.write(struct.pack(f"<{len(dims)}Q", *dims))
-            for w in model.weights:
-                _write_f64(fh, w)
-        else:
-            raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+        fh.write(struct.pack(f"<{1 + len(header)}Q", kind, *header))
+        for arr in model.arrays():
+            _write_f64(fh, arr)
 
 
 def read_model(path: str):
@@ -163,7 +157,7 @@ def read_model(path: str):
         if magic != MAGIC_MODEL:
             raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_MODEL!r}")
         (kind,) = _read_u64(fh, 1, path, "model kind")
-        if kind == KIND_HYBRID:
+        if kind == EncoderParams.KIND:
             m, n_init, d_out, k = _read_u64(fh, 4, path, "hybrid header")
             if m < 1 or n_init < 1 or d_out < 1 or not (1 <= k <= n_init):
                 raise FileFormatError(f"{path}: implausible hybrid header "
@@ -173,12 +167,13 @@ def read_model(path: str):
             d_im = _read_f64(fh, (m, n_init), path, "d_im")
             z = _read_f64(fh, (d_out, n_init), path, "z")
             return EncoderParams(d_re=d_re, d_im=d_im, z=z, k=int(k))
-        if kind == KIND_MLP:
+        if kind == MlpParams.KIND:
             (count,) = _read_u64(fh, 1, path, "layer count")
             if not (1 <= count <= 64):
                 raise FileFormatError(f"{path}: implausible layer count {count}")
             dims = _read_u64(fh, count + 1, path, "layer dims")
-            if any(d < 1 for d in dims):
+            # the input layer takes the stacked [Re; Im] channel: 2M entries
+            if any(d < 1 for d in dims) or dims[0] % 2:
                 raise FileFormatError(f"{path}: implausible layer dims {dims}")
             pairs = list(zip(dims, dims[1:]))
             _check_size(fh, 8 * sum(lo * hi for lo, hi in pairs), path)

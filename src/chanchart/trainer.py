@@ -1,11 +1,10 @@
 """Dataset split, Adam, and minibatch triplet training for either encoder.
 
-Each step stacks the anchor/close/far members of a batch into one matrix,
-runs a single shared-parameter batched forward, backpropagates the margin
-loss through the encoder, averages gradients over the processed triplets,
-and applies one Adam update.  The hybrid forward gathers the batch's rows
-straight into real/imaginary planes, and its backward multiplies only the
-rows of triplets that still carry a loss gradient.  Degenerate members
+Each step stacks the anchor/close/far members of a batch into one index
+vector, runs a single shared-parameter batched forward over those rows
+through the encoder interface (``forward_rows``/``backward_rows``, see
+``encoder``), backpropagates the margin loss, averages gradients over the
+processed triplets, and applies one Adam update.  Degenerate members
 (unchartable channels) knock out their whole triplet, which is counted
 rather than trained on.
 
@@ -45,6 +44,14 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("learning_rate", "eps"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if self.margin < 0.0:
+            raise ValueError("margin must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
 
 
 # Adam walks each flattened parameter in blocks of this many float64 values,
@@ -75,7 +82,6 @@ class OptimizerState:
 @dataclass
 class TrainReport:
     epoch_losses: list
-    params: object
     skipped: int
 
 
@@ -146,14 +152,6 @@ def adam_step(state: OptimizerState, params: list, grads: list, cfg: TrainConfig
             np.subtract(pb, a, out=pb)
 
 
-def _param_arrays(model) -> list:
-    if isinstance(model, enc.EncoderParams):
-        return [model.d_re, model.d_im, model.z]
-    if isinstance(model, enc.MlpParams):
-        return list(model.weights)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
 def _checksum(params: list) -> float:
     return float(sum(float(np.sum(p)) for p in params))
 
@@ -162,7 +160,7 @@ def _checksum(params: list) -> float:
 # raised as one error, so numpy's warnings about them are silenced.
 @np.errstate(over="ignore", invalid="ignore")
 def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
-    """Triplet-train the model on a split of cs; returns losses, params, skip count.
+    """Triplet-train the encoder on a split of cs; returns losses and skip count.
 
     Triplets are mined over positions within the ordered train subset, then
     mapped back to dataset indices.  All three branches of a triplet share
@@ -183,11 +181,10 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
     closes = train_idx[trip[:, 1]]
     fars = train_idx[trip[:, 2]]
 
-    params = _param_arrays(model)
+    params = model.arrays()
     state = OptimizerState.for_params(params)
     shuffle_rng = SplitMix64(substream(cfg.seed, 1))
     order = np.arange(trip.shape[0])
-    is_hybrid = isinstance(model, enc.EncoderParams)
 
     epoch_losses: list[float] = []
     skipped = 0
@@ -200,11 +197,7 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
             sel = order[b0:b0 + cfg.batch_size]
             nb = sel.size
             idx = np.concatenate([anchors[sel], closes[sel], fars[sel]])
-            if is_hybrid:
-                z3, cache = enc.forward_batch(model, channels, idx)
-                ok3 = cache.ok
-            else:
-                z3, acts, ok3 = enc.mlp_forward_batch(model, channels[idx])
+            z3, ok3, cache = model.forward_rows(channels, idx)
             ok = ok3[:nb] & ok3[nb:2 * nb] & ok3[2 * nb:]
             n_ok = int(np.sum(ok))
             skipped += nb - n_ok
@@ -220,10 +213,7 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
             loss_count += n_ok
             scale = np.where(ok, 1.0 / n_ok, 0.0)[:, None]
             gz3 = np.concatenate([gz_a * scale, gz_p * scale, gz_m * scale])
-            if is_hybrid:
-                grads = list(enc.backward_batch(model, cache, gz3))
-            else:
-                grads = enc.mlp_backward_batch(model, acts, gz3, ok3)
+            grads = model.backward_rows(cache, gz3)
             if _checksum(params) != checksum:
                 raise AssertionError("parameters mutated during forward/backward")
             adam_step(state, params, grads, cfg)
@@ -234,4 +224,4 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
         if loss_count == 0:
             raise enc.DegenerateInputError("all training triplets degenerate")
         epoch_losses.append(loss_sum / loss_count)
-    return TrainReport(epoch_losses=epoch_losses, params=model, skipped=skipped)
+    return TrainReport(epoch_losses=epoch_losses, skipped=skipped)

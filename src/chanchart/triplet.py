@@ -10,7 +10,7 @@ chart point toward the anchor and pushes the far one away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -26,17 +26,21 @@ class TripletIndex(NamedTuple):
 
 @dataclass
 class MiningConfig:
-    """Time windows (seconds), sampling rate, triplets per anchor, and draw seed."""
+    """Time windows (seconds), sampling rate, triplets per anchor, and draw seed.
 
-    t_close: float
-    t_far: float
-    sample_rate: float
+    The default windows are the stock 100 s / 290 s.  The sampling rate is
+    the mined dataset's and has no default.
+    """
+
+    t_close: float = 100.0
+    t_far: float = 290.0
+    sample_rate: float = field(kw_only=True)
     per_anchor: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.t_close < self.t_far:
-            raise ValueError("need 0 < t_close < t_far")
+            raise ValueError("t_close must lie in (0, t_far)")
         if self.per_anchor < 1:
             raise ValueError("per_anchor must be >= 1")
 

@@ -7,8 +7,11 @@ oracle and the fast implementation is meaningful evidence, not a tautology.
 
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
+
+from chanchart.encoder import DegenerateInputError
 
 
 def procrustes_residual(reference: np.ndarray, embedding: np.ndarray) -> float:
@@ -225,3 +228,101 @@ def full_row_backward_batch(p, cache, gz):
     gd_re = h_re.T @ ga_re + h_im.T @ ga_im
     gd_im = h_im.T @ ga_re - h_re.T @ ga_im
     return gd_re, gd_im, gz_mat
+
+
+def hard_threshold(v: np.ndarray, k: int):
+    """Keep the k largest entries (ties toward the lower index), zero the rest.
+
+    Returns (thresholded copy, kept index array sorted ascending).  k beyond
+    the vector length keeps everything.
+    """
+    v = np.asarray(v)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    mask = argsort_top_k_mask(v, k)
+    out = np.zeros_like(v)
+    out[mask] = v[mask]
+    return out, np.flatnonzero(mask)
+
+
+def forward_oracle(p, h: np.ndarray):
+    """One channel through the hybrid encoder with matvecs; returns (z, cache).
+
+    Raises DegenerateInputError when every kept correlation modulus is zero.
+    This was the package's per-sample ``forward`` before it became a
+    batch-of-one ``forward_batch``.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    h_re = np.ascontiguousarray(h.real)
+    h_im = np.ascontiguousarray(h.imag)
+    a_re = p.d_re.T @ h_re + p.d_im.T @ h_im
+    a_im = p.d_re.T @ h_im - p.d_im.T @ h_re
+    b = np.sqrt(a_re * a_re + a_im * a_im)
+    _, ht_kept = hard_threshold(b, p.k)
+    kept = ht_kept[b[ht_kept] > 0.0]
+    if kept.size == 0:
+        raise DegenerateInputError("degenerate correlation: channel uncorrelated with every kept column")
+    s = float(np.sum(b[kept]))
+    d = np.zeros(p.n_init)
+    d[kept] = b[kept] / s
+    z = p.z @ d
+    return z, SimpleNamespace(a_re=a_re, a_im=a_im, b=b, kept=kept, s=s, d=d)
+
+
+def backward_oracle(p, cache, h: np.ndarray, gz: np.ndarray):
+    """Gradients of (gz . z) w.r.t. (d_re, d_im, z) for one ``forward_oracle`` pass.
+
+    Gradient flows only through the kept indices; dense outputs are zero
+    outside the kept columns.  This was the package's per-sample
+    ``backward``.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    gz = np.asarray(gz, dtype=np.float64)
+    kept = cache.kept
+    gz_mat = np.outer(gz, cache.d)
+    gd = p.z.T @ gz
+    inner = float(np.dot(gd[kept], cache.d[kept]))
+    gc = (gd[kept] - inner) / cache.s
+    ga_re = gc * cache.a_re[kept] / cache.b[kept]
+    ga_im = gc * cache.a_im[kept] / cache.b[kept]
+    gd_re = np.zeros((p.m, p.n_init))
+    gd_im = np.zeros((p.m, p.n_init))
+    gd_re[:, kept] = np.outer(h.real, ga_re) + np.outer(h.imag, ga_im)
+    gd_im[:, kept] = np.outer(h.imag, ga_re) - np.outer(h.real, ga_im)
+    return gd_re, gd_im, gz_mat
+
+
+def mlp_forward_oracle(p, h: np.ndarray):
+    """One channel through the MLP with matvecs; returns (z, activations).
+
+    This was the package's per-sample ``mlp_forward``.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    x = np.concatenate([h.real, h.imag])
+    norm = float(np.linalg.norm(x))
+    if norm == 0.0:
+        raise DegenerateInputError("zero channel cannot be normalized")
+    x = x / norm
+    activations = [x]
+    for i, w in enumerate(p.weights):
+        x = w @ x
+        if i < len(p.weights) - 1:
+            x = np.maximum(x, 0.0)
+        activations.append(x)
+    return activations[-1], activations
+
+
+def mlp_backward_oracle(p, activations: list, gz: np.ndarray):
+    """Gradients of (gz . z) w.r.t. each weight matrix, from outer products.
+
+    This was the package's per-sample ``mlp_backward``.
+    """
+    g = np.asarray(gz, dtype=np.float64)
+    grads = [None] * len(p.weights)
+    for i in range(len(p.weights) - 1, -1, -1):
+        if i < len(p.weights) - 1:
+            g = g * (activations[i + 1] > 0.0)
+        grads[i] = np.outer(g, activations[i])
+        if i > 0:
+            g = p.weights[i].T @ g
+    return grads

@@ -7,7 +7,7 @@ import pytest
 
 from chanchart import encoder, fileio
 from chanchart.cli import main
-from chanchart.config import derive_seeds
+from chanchart.config import derive_seeds, preset
 from chanchart.rng import SplitMix64
 
 
@@ -297,7 +297,8 @@ def _corruptions(raw: bytes, rng: SplitMix64, n_cuts: int):
 
     A rewrite replaces one u64 field with an edge value, a neighbour of the
     true value or a random value.  The hybrid ``k`` field (offset 36) only
-    gets values outside [1, N_init], since any other k is a valid model.
+    gets values outside [1, N_init], since any other k is a valid model.  An
+    MLP file also gets an odd input width with a payload of matching size.
     """
     fields = _header_fields(raw)
     cuts = {0, 2, 4} | {off for off, _ in fields} | {off + 8 for off, _ in fields}
@@ -315,6 +316,12 @@ def _corruptions(raw: bytes, rng: SplitMix64, n_cuts: int):
             values = {v for v in values if not 1 <= v <= fields[2][1]}
         for v in sorted(values - {old}):
             yield f"u64 at {off}: {old} -> {v}", raw[:off] + struct.pack("<Q", v) + raw[off + 8:]
+    if raw[:4] == b"CCM1" and fields[0][1] == 1:
+        # one more input column, with the payload grown to match: every size
+        # check passes, and only the odd input width is wrong
+        (off, width), (_, hidden) = fields[2], fields[3]
+        blob = raw[:off] + struct.pack("<Q", width + 1) + raw[off + 8:] + bytes(8 * hidden)
+        yield "odd MLP input width", blob
 
 
 def test_corrupted_files_fail_with_one_json_line(tiny_files, tmp_path, capsys):
@@ -341,5 +348,80 @@ def test_corrupted_files_fail_with_one_json_line(tiny_files, tmp_path, capsys):
             assert len(err) == 1, (target, what, err)
             doc = json.loads(err[0])
             assert set(doc) == {"error", "detail"}, (target, what, doc)
+            if what == "odd MLP input width":
+                assert (code, doc["error"]) == (4, "format"), doc
             cases += 1
     assert 100 <= cases <= 200
+
+
+# ---------------------------------------------------------------------------
+# malformed config documents
+
+
+def _nodes(doc, path=()):
+    """(path, value) of the document and of every section, list and value in it."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# Wrong types, bools for ints, non-finite numbers, ints past 2^63 and past the
+# float range, non-lists for lists and non-objects for sections.
+_MUTANTS = ("x", True, None, [], {}, [1.0], {"x": 1}, 0.5, float("nan"), float("inf"),
+            float("-inf"), 2**63, 2**64 + 1, -(2**63) - 1, 10**400)
+
+
+def _config_mutations(rng: SplitMix64):
+    """Seeded mutations of the tiny, default and an explicit-scenario document."""
+    docs = [preset("tiny").to_dict(), preset("default").to_dict(), _small_doc()]
+    for doc in docs:
+        for path, value in _nodes(doc):
+            picks = {int(rng.randbelow(len(_MUTANTS))) for _ in range(4)}
+            for i in sorted(picks):
+                yield f"{path} -> {_MUTANTS[i]!r}", _replaced(doc, path, _MUTANTS[i])
+            if isinstance(value, dict):
+                yield f"{path} + bogus key", _replaced(doc, path, dict(value, bogus=1))
+
+
+def test_config_mutations_exit_cleanly(tmp_path, capsys):
+    # a mutated document either still parses (a seed past 2^63 is a valid
+    # seed) or fails with exit code 2, 3 or 4 and one JSON line on stderr
+    path = tmp_path / "cfg.json"
+    failed = 0
+    for what, doc in _config_mutations(SplitMix64(505)):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["show-config", "--config", str(path)])
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == [], (what, err)
+            continue
+        assert code in (2, 3, 4), (what, code)
+        assert len(err) == 1, (what, err)
+        assert set(json.loads(err[0])) == {"error", "detail"}, (what, err)
+        failed += 1
+    assert failed > 300
+
+
+@pytest.mark.parametrize("verb", ["show-config", "generate"])
+def test_non_list_scatterer_gains_exit_2(tmp_path, capsys, verb):
+    doc = _small_doc()
+    doc["scenario"]["scatterers"]["gains"] = 0.5
+    argv = [verb, "--config", _write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["detail"].startswith("scenario.scatterers.gains:")
+    assert not (tmp_path / "out").exists()

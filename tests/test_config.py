@@ -1,12 +1,14 @@
 """Experiment configuration: parsing, validation, presets, realization."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from chanchart.config import (
     ConfigError,
+    EncoderSettings,
     ExperimentConfig,
     PRESETS,
     STAGES,
@@ -16,6 +18,8 @@ from chanchart.config import (
 from chanchart.evalmetrics import DEFAULT_K_GRID
 from chanchart.rng import substream
 from chanchart.synthgen import generate_trajectory
+from chanchart.trainer import TrainConfig
+from chanchart.triplet import MiningConfig
 
 
 def _minimal_doc(**overrides):
@@ -138,12 +142,16 @@ _EXPLICIT = {
     ("scenario", "jitter_sigma", -0.1, "scenario.jitter_sigma"),
     ("trajectory", "jitter_sigma", float("nan"), "scenario.trajectory.jitter_sigma"),
     ("trajectory", "jitter_sigma", -0.1, "scenario.trajectory.jitter_sigma"),
+    ("scatterers", "gains", 0.5, "scenario.scatterers.gains"),
+    ("scatterers", "gains", [0.0], "scenario.scatterers"),
+    pytest.param("training", "margin", 10**400, "training.margin",
+                 id="training-margin-int-past-float-range"),
 ])
 def test_bad_values_rejected_at_parse_time(section, key, value, match):
     # json.loads accepts NaN and Infinity, so a config file can carry them
-    if section == "trajectory":
+    if section in ("trajectory", "scatterers"):
         doc = {"scenario": json.loads(json.dumps(_EXPLICIT))}
-        doc["scenario"]["trajectory"][key] = value
+        doc["scenario"][section][key] = value
     elif section == "scenario":
         doc = _minimal_doc()
         doc["scenario"][key] = value
@@ -177,6 +185,36 @@ def test_from_file(tmp_path):
 
 # ---------------------------------------------------------------------------
 # presets
+
+
+def test_tiny_preset_resolves_to_this_document():
+    # compared as JSON text, so key order is pinned along with every value
+    want = {
+        "scenario": {"kind": "loop", "n_samples": 200, "geometry_samples": 2000,
+                     "jitter_sigma": 0.05},
+        "encoder": {"n_init": 30, "k": 5, "k_iso": 5, "d_out": 2, "init": "random"},
+        "mining": {"t_close": 4.0, "t_far": 12.0, "per_anchor": 1},
+        "training": {"epochs": 3, "batch_size": 32, "learning_rate": 0.001, "beta1": 0.9,
+                     "beta2": 0.999, "eps": 1e-08, "margin": 1.0, "split_ratio": 0.7},
+        "eval": {"k_grid": [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.1]},
+        "seeds": {"trajectory": 16294208416658607535, "init": 7960286522194355700,
+                  "mining": 487617019471545679, "training": 17909611376780542444},
+        "baseline": {"mlp": True},
+    }
+    assert json.dumps(preset("tiny").to_dict()) == json.dumps(want)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_resolved_sections_follow_the_field_order(name):
+    doc = preset(name).to_dict()
+    assert list(doc) == ["scenario", "encoder", "mining", "training", "eval", "seeds",
+                         "baseline"]
+    for section, cls in (("encoder", EncoderSettings), ("mining", MiningConfig),
+                         ("training", TrainConfig)):
+        # seeds come from the seeds section and the sampling rate from the dataset
+        assert list(doc[section]) == [f.name for f in fields(cls)
+                                      if f.name not in ("seed", "sample_rate")]
+    assert list(doc["seeds"]) == list(STAGES)
 
 
 def test_preset_names_and_unknown():

@@ -18,7 +18,6 @@ from chanchart.encoder import (
     count_params,
     forward,
     forward_batch,
-    hard_threshold,
     hybrid_param_count,
     init_random,
     init_smart,
@@ -33,8 +32,13 @@ from chanchart.rng import SplitMix64
 from chanchart.synthgen import ChannelSet
 from helpers import (
     argsort_top_k_mask,
+    backward_oracle,
     central_difference,
+    forward_oracle,
     full_row_backward_batch,
+    hard_threshold,
+    mlp_backward_oracle,
+    mlp_forward_oracle,
     relative_error,
 )
 
@@ -177,7 +181,7 @@ def test_forward_batch_matches_scalar():
     z_batch, cache = forward_batch(p, channels)
     assert cache.ok.all()
     for i in range(20):
-        z_i, _ = forward(p, channels[i])
+        z_i, _ = forward_oracle(p, channels[i])
         assert relative_error(z_batch[i], z_i) < 1e-13
 
 
@@ -247,8 +251,8 @@ def test_backward_batch_matches_scalar_sum():
     s_im = np.zeros_like(b_im)
     s_z = np.zeros_like(b_z)
     for i in range(6):
-        _, c_i = forward(p, channels[i])
-        g_re, g_im, g_z = backward(p, c_i, channels[i], gz[i])
+        _, c_i = forward_oracle(p, channels[i])
+        g_re, g_im, g_z = backward_oracle(p, c_i, channels[i], gz[i])
         s_re += g_re
         s_im += g_im
         s_z += g_z
@@ -265,8 +269,8 @@ def test_backward_batch_ignores_degenerate_rows():
     _, cache = forward_batch(p, channels)
     g_re, g_im, g_z = backward_batch(p, cache, gz)
     # only row 0 contributes; row 1 is degenerate
-    _, c0 = forward(p, channels[0])
-    e_re, e_im, e_z = backward(p, c0, channels[0], gz[0])
+    _, c0 = forward_oracle(p, channels[0])
+    e_re, e_im, e_z = backward_oracle(p, c0, channels[0], gz[0])
     assert np.allclose(g_re, e_re, atol=1e-15)
     assert np.allclose(g_im, e_im, atol=1e-15)
     assert np.allclose(g_z, e_z, atol=1e-15)
@@ -420,14 +424,14 @@ def test_mlp_batch_matches_scalar():
     z_batch, acts, ok = mlp_forward_batch(p, channels)
     assert ok.all()
     for i in range(10):
-        z_i, _ = mlp_forward(p, channels[i])
+        z_i, _ = mlp_forward_oracle(p, channels[i])
         assert relative_error(z_batch[i], z_i) < 1e-13
     gz = SplitMix64(10).normals(20).reshape(10, 2)
     batch_grads = mlp_backward_batch(p, acts, gz, ok)
     sums = [np.zeros_like(w) for w in p.weights]
     for i in range(10):
-        _, a_i = mlp_forward(p, channels[i])
-        for layer, g in enumerate(mlp_backward(p, a_i, gz[i])):
+        _, a_i = mlp_forward_oracle(p, channels[i])
+        for layer, g in enumerate(mlp_backward_oracle(p, a_i, gz[i])):
             sums[layer] += g
     for layer in range(len(p.weights)):
         assert relative_error(batch_grads[layer], sums[layer]) < 1e-12

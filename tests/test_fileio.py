@@ -243,6 +243,11 @@ def test_model_rejects_corruption(tmp_path):
     with pytest.raises(FileFormatError, match="implausible"):
         read_model(str(bad))
 
+    # an MLP input layer takes the stacked [Re; Im] channel, so its width is even
+    write_model(str(bad), MlpParams(weights=[np.ones((3, 5)), np.ones((2, 3))]))
+    with pytest.raises(FileFormatError, match="implausible layer dims"):
+        read_model(str(bad))
+
 
 @pytest.mark.parametrize("kind", ["hybrid", "mlp"])
 def test_model_rejects_non_finite_weights(tmp_path, kind):

@@ -245,7 +245,7 @@ def test_train_is_bitwise_the_textbook_adam(tiny, kind, monkeypatch):
     textbook = _tiny_model(cfg, cs, kind)
     ref = train(textbook, cs, tcfg, mining)
     assert report.epoch_losses == ref.epoch_losses
-    for got, want in zip(trainer._param_arrays(shipped), trainer._param_arrays(textbook)):
+    for got, want in zip(shipped.arrays(), textbook.arrays()):
         assert np.array_equal(got, want)
 
 
@@ -267,7 +267,7 @@ def test_train_hybrid_is_bitwise_the_full_row_step(tiny, kind, monkeypatch):
     reference = _tiny_model(cfg, cs, kind)
     ref = train(reference, cs, tcfg, mining)
     assert report.epoch_losses == ref.epoch_losses
-    for got, want in zip(trainer._param_arrays(shipped), trainer._param_arrays(reference)):
+    for got, want in zip(shipped.arrays(), reference.arrays()):
         assert np.array_equal(got, want)
 
 
@@ -301,7 +301,7 @@ def test_train_survives_a_nan_channel_row(tiny):
     report = train(model, broken, cfg.train_config(), cfg.mining_config(cs.sample_rate))
     assert report.skipped > 0
     assert all(math.isfinite(l) for l in report.epoch_losses)
-    assert all(np.isfinite(a).all() for a in trainer._param_arrays(model))
+    assert all(np.isfinite(a).all() for a in model.arrays())
 
 
 @pytest.mark.parametrize("lr, what", [(1e300, "loss"), (math.inf, "parameters")])
