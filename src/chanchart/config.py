@@ -86,6 +86,15 @@ def _as_nonnegative(v, where: str) -> float:
     return x
 
 
+def _as_seed(v, where: str) -> int:
+    # SplitMix64 reduces its seed mod 2^64: a seed outside [0, 2^64) would
+    # name the same stream as one inside it
+    seed = _as_int(v, where)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where}: seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def _as_bool(v, where: str) -> bool:
     if not isinstance(v, bool):
         raise ConfigError(f"{where}: expected true/false, got {v!r}")
@@ -219,7 +228,12 @@ def _parse_scenario(d: dict) -> dict:
             "jitter_sigma": _as_nonnegative(traj.get("jitter_sigma", 0.0),
                                             "scenario.trajectory.jitter_sigma"),
         }
-        # scatterers and radio are validated now and built again by scenario_objects
+        # trajectory, scatterers and radio are validated now and built again,
+        # with the trajectory seed, by scenario_objects
+        try:
+            TrajectoryConfig(**trajectory)
+        except ValueError as exc:
+            raise ConfigError(f"scenario.trajectory: {exc}") from exc
         scat = _parse_scatterers(d["scatterers"], "scenario.scatterers")
         _parse_radio(d["radio"], "scenario.radio")
         return {"kind": "explicit", "trajectory": trajectory, "radio": dict(d["radio"]),
@@ -258,7 +272,7 @@ class ExperimentConfig:
 
         sd = doc.get("seeds", derive_seeds(0))
         _check_keys(sd, set(STAGES), set(STAGES), "seeds")
-        seeds = {stage: _as_int(sd[stage], f"seeds.{stage}") for stage in STAGES}
+        seeds = {stage: _as_seed(sd[stage], f"seeds.{stage}") for stage in STAGES}
 
         mining = _section(doc.get("mining", {}), MiningConfig, "mining",
                           sample_rate=math.nan, seed=seeds["mining"])
@@ -305,9 +319,13 @@ class ExperimentConfig:
         }
 
     def with_seed_root(self, root: int) -> "ExperimentConfig":
-        """Copy of this config with all stage seeds re-derived from one root."""
+        """Copy of this config with all stage seeds re-derived from one root.
+
+        The root must lie in [0, 2^64), like every stage seed; otherwise
+        ConfigError.
+        """
         doc = self.to_dict()
-        doc["seeds"] = derive_seeds(root)
+        doc["seeds"] = derive_seeds(_as_seed(root, "seed root"))
         return ExperimentConfig.from_dict(doc)
 
     # -- realization -------------------------------------------------------

@@ -20,8 +20,10 @@ trainer, the chart code, the parameter count and the model writer use:
 parameter arrays in Adam and file order; ``forward_rows(channels,
 index=None)`` charts ``channels`` (or the rows ``channels[index]``) and
 returns ``(z, ok, cache)``, ``ok`` flagging the chartable rows; and
-``backward_rows(cache, gz)`` returns the batch-summed gradients of
-``sum(gz * z)``, one per array, to which not-ok rows add nothing.
+``backward_rows(cache, gz, out=None)`` returns the batch-summed gradients
+of ``sum(gz * z)``, one per array, to which not-ok rows add nothing.  Given
+``out``, arrays shaped like ``arrays()``, the gradients are written into
+them, so a training run can keep one gradient set for all its steps.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ class EncoderParams:
         z, cache = forward_batch(self, channels, index)
         return z, cache.ok, cache
 
-    def backward_rows(self, cache, gz: np.ndarray):
-        return backward_batch(self, cache, gz)
+    def backward_rows(self, cache, gz: np.ndarray, out=None):
+        return backward_batch(self, cache, gz, out)
 
 
 @dataclass
@@ -121,9 +123,9 @@ class MlpParams:
         z, activations, ok = mlp_forward_batch(self, rows)
         return z, ok, (activations, ok)
 
-    def backward_rows(self, cache, gz: np.ndarray):
+    def backward_rows(self, cache, gz: np.ndarray, out=None):
         activations, ok = cache
-        return mlp_backward_batch(self, activations, gz, ok)
+        return mlp_backward_batch(self, activations, gz, ok, out)
 
 
 def _top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
@@ -220,16 +222,21 @@ def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
                          kept_mask=kept_mask, s=s, d=d, ok=ok)
 
 
-def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray):
-    """Batch-summed hybrid gradients; rows flagged not-ok contribute nothing.
+def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray, out=None):
+    """Batch-summed hybrid gradients (d_re, d_im, z); not-ok rows contribute nothing.
 
     Only the live rows -- ok rows whose ``gz`` row is nonzero -- enter the
     dictionary gradients.  Every other row would add exact zeros to each of
     their sums, so skipping it keeps the result's bits, and a degenerate or
     non-finite row is never multiplied in.  ``gz.T @ d`` runs over all rows.
+    Given ``out``, three arrays shaped like the parameters, the gradients
+    are written into them and those arrays are returned.
     """
+    if out is None:
+        out = (np.empty(p.d_re.shape), np.empty(p.d_im.shape), np.empty(p.z.shape))
+    gd_re, gd_im, gz_mat = out
     gz = np.where(cache.ok[:, None], gz, 0.0)
-    gz_mat = gz.T @ cache.d
+    np.matmul(gz.T, cache.d, out=gz_mat)
     live = np.flatnonzero(np.any(gz != 0.0, axis=1))
     d, b = cache.d[live], cache.b[live]
     gd = gz[live] @ p.z  # (n_live, n_init)
@@ -239,8 +246,10 @@ def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray):
     ga_re = gc * cache.a_re[live] / safe_b
     ga_im = gc * cache.a_im[live] / safe_b
     h_re, h_im = cache.h_re[live], cache.h_im[live]
-    gd_re = h_re.T @ ga_re + h_im.T @ ga_im
-    gd_im = h_im.T @ ga_re - h_re.T @ ga_im
+    np.matmul(h_re.T, ga_re, out=gd_re)
+    gd_re += h_im.T @ ga_im
+    np.matmul(h_im.T, ga_re, out=gd_im)
+    gd_im -= h_re.T @ ga_im
     return gd_re, gd_im, gz_mat
 
 
@@ -324,19 +333,21 @@ def mlp_forward_batch(p: MlpParams, channels: np.ndarray):
     return activations[-1], activations, ok
 
 
-def mlp_backward_batch(p: MlpParams, activations: list, gz: np.ndarray, ok: np.ndarray):
+def mlp_backward_batch(p: MlpParams, activations: list, gz: np.ndarray, ok: np.ndarray,
+                       out=None):
     """Batch-summed MLP weight gradients; rows with ok=False contribute nothing.
 
     The layer-0 input gradient (a (n, 2m) product that nothing reads) is
-    skipped.
+    skipped.  Given ``out``, a list of arrays shaped like the weights, the
+    gradients are written into it and it is returned.
     """
     g = np.array(gz, dtype=np.float64)
     g[~ok] = 0.0
-    grads = [None] * len(p.weights)
+    grads = [np.empty(w.shape) for w in p.weights] if out is None else out
     for i in range(len(p.weights) - 1, -1, -1):
         if i < len(p.weights) - 1:
             g = g * (activations[i + 1] > 0.0)
-        grads[i] = g.T @ activations[i]
+        np.matmul(g.T, activations[i], out=grads[i])
         if i > 0:
             g = g @ p.weights[i]
     return grads
@@ -357,14 +368,22 @@ def count_params(model) -> int:
     return sum(a.size for a in model.arrays())
 
 
-def _chart_block(model, channels: np.ndarray):
-    """Chart one block of channels with an encoder or a callable; returns (z, ok mask)."""
+def _chart_block(model, channels: np.ndarray, rows):
+    """Chart ``channels[rows]`` with an encoder or a callable; returns (z, ok mask).
+
+    ``rows`` is a slice or an index block.  An encoder is handed an index
+    block with the channels, so it gathers the rows itself: the hybrid
+    straight into its real and imaginary planes.
+    """
     if callable(model):
-        z = np.asarray(model(channels), dtype=np.float64)
+        z = np.asarray(model(channels[rows]), dtype=np.float64)
         return z, np.ones(z.shape[0], dtype=bool)
     if not hasattr(model, "forward_rows"):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    z, ok, _ = model.forward_rows(channels)
+    if isinstance(rows, slice):
+        z, ok, _ = model.forward_rows(channels[rows])
+    else:
+        z, ok, _ = model.forward_rows(channels, rows)
     return z, ok
 
 
@@ -381,16 +400,18 @@ def chart_batch(model, channels: np.ndarray, index=None):
 
     Charts ``channels`` (or, given ``index``, the rows ``channels[index]``)
     in blocks of CHART_ROWS rows, so the encoder's per-row intermediates
-    never exceed one block; each block of selected rows is gathered only
-    when it is charted.  The model may be an encoder (EncoderParams or
-    MlpParams), or a callable mapping an (n, M) channel block to an (n, d) chart block.
+    never exceed one block.  Each block of selected rows is gathered only
+    when it is charted, by the encoder itself, so the hybrid makes no
+    complex copy of it.  The model may be an encoder (EncoderParams or
+    MlpParams), or a callable mapping an (n, M) channel block to an (n, d)
+    chart block.
     """
     n = channels.shape[0] if index is None else len(index)
     z = ok = None
     for lo in range(0, max(n, 1), CHART_ROWS):  # one empty block when n == 0
         hi = min(lo + CHART_ROWS, n)
-        block = channels[lo:hi] if index is None else channels[index[lo:hi]]
-        z_block, ok_block = _chart_block(model, block)
+        rows = slice(lo, hi) if index is None else index[lo:hi]
+        z_block, ok_block = _chart_block(model, channels, rows)
         if z is None:
             z = np.empty((n,) + z_block.shape[1:])
             ok = np.empty(n, dtype=bool)

@@ -8,6 +8,13 @@ processed triplets, and applies one Adam update.  Degenerate members
 (unchartable channels) knock out their whole triplet, which is counted
 rather than trained on.
 
+A run trains in a fixed working set: one gradient array per parameter is
+allocated once, beside the Adam moments, and every step's backward writes
+into it; a step's forward cache, outputs and output gradients are freed
+before the next step's forward.  The gradient arrays are reused rather
+than freed, because a parameter-sized array freed and allocated again goes
+back to the operating system and faults its pages in anew every step.
+
 Seeding: the train/eval split uses substream(seed, 0), epoch shuffles use
 substream(seed, 1), and mining uses the MiningConfig's own seed, so every
 stage is reproducible in isolation.
@@ -156,6 +163,29 @@ def _checksum(params: list) -> float:
     return float(sum(float(np.sum(p)) for p in params))
 
 
+def _backprop(model, channels: np.ndarray, idx: np.ndarray, margin: float, grads: list):
+    """One batch's forward, margin loss and backward; returns (n_ok, loss sum).
+
+    ``idx`` stacks the batch's anchor, close and far rows.  n_ok counts the
+    triplets whose three members are chartable, and the loss is summed over
+    them.  When n_ok > 0, the gradient of the mean loss over those triplets
+    is written into ``grads``.  The step's intermediates die when this
+    returns.
+    """
+    nb = idx.size // 3
+    z3, ok3, cache = model.forward_rows(channels, idx)
+    ok = ok3[:nb] & ok3[nb:2 * nb] & ok3[2 * nb:]
+    n_ok = int(np.sum(ok))
+    if n_ok == 0:
+        return 0, 0.0
+    loss, gz_a, gz_p, gz_m = triplet_loss_grad_batch(
+        z3[:nb], z3[nb:2 * nb], z3[2 * nb:], margin)
+    scale = np.where(ok, 1.0 / n_ok, 0.0)[:, None]
+    gz3 = np.concatenate([gz_a * scale, gz_p * scale, gz_m * scale])
+    model.backward_rows(cache, gz3, grads)
+    return n_ok, float(np.sum(loss[ok]))
+
+
 # Overflow and NaN in a step are caught by the finiteness checks below and
 # raised as one error, so numpy's warnings about them are silenced.
 @np.errstate(over="ignore", invalid="ignore")
@@ -183,6 +213,7 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
 
     params = model.arrays()
     state = OptimizerState.for_params(params)
+    grads = [np.empty(p.shape) for p in params]
     shuffle_rng = SplitMix64(substream(cfg.seed, 1))
     order = np.arange(trip.shape[0])
 
@@ -195,25 +226,16 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
         loss_count = 0
         for step, b0 in enumerate(range(0, order.size, cfg.batch_size), 1):
             sel = order[b0:b0 + cfg.batch_size]
-            nb = sel.size
             idx = np.concatenate([anchors[sel], closes[sel], fars[sel]])
-            z3, ok3, cache = model.forward_rows(channels, idx)
-            ok = ok3[:nb] & ok3[nb:2 * nb] & ok3[2 * nb:]
-            n_ok = int(np.sum(ok))
-            skipped += nb - n_ok
+            n_ok, step_loss = _backprop(model, channels, idx, cfg.margin, grads)
+            skipped += sel.size - n_ok
             if n_ok == 0:
                 continue
-            loss, gz_a, gz_p, gz_m = triplet_loss_grad_batch(
-                z3[:nb], z3[nb:2 * nb], z3[2 * nb:], cfg.margin)
-            step_loss = float(np.sum(loss[ok]))
             if not math.isfinite(step_loss):
                 raise ValueError(f"training diverged: non-finite loss at epoch {epoch}, "
                                  f"step {step}")
             loss_sum += step_loss
             loss_count += n_ok
-            scale = np.where(ok, 1.0 / n_ok, 0.0)[:, None]
-            gz3 = np.concatenate([gz_a * scale, gz_p * scale, gz_m * scale])
-            grads = model.backward_rows(cache, gz3)
             if _checksum(params) != checksum:
                 raise AssertionError("parameters mutated during forward/backward")
             adam_step(state, params, grads, cfg)

@@ -199,13 +199,14 @@ def argsort_top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def full_row_backward_batch(p, cache, gz):
+def full_row_backward_batch(p, cache, gz, out=None):
     """The batch-summed hybrid gradients with every row in every product.
 
     Not-ok rows get zero output and correlation gradients, and their h
     planes are zeroed in a copy, so non-finite channels cannot leak in as
     NaN*0.  This was the package's ``backward_batch`` before it multiplied
-    only the live rows.
+    only the live rows and wrote into ``out``; given ``out``, the
+    gradients are copied into it.
     """
     ok = cache.ok
     gz = np.array(gz, dtype=np.float64)
@@ -227,7 +228,11 @@ def full_row_backward_batch(p, cache, gz):
         h_im = np.where(ok[:, None], h_im, 0.0)
     gd_re = h_re.T @ ga_re + h_im.T @ ga_im
     gd_im = h_im.T @ ga_re - h_re.T @ ga_im
-    return gd_re, gd_im, gz_mat
+    if out is None:
+        return gd_re, gd_im, gz_mat
+    for dst, src in zip(out, (gd_re, gd_im, gz_mat)):
+        np.copyto(dst, src)
+    return out
 
 
 def hard_threshold(v: np.ndarray, k: int):

@@ -254,6 +254,45 @@ def test_non_finite_config_value_exits_2_with_one_json_line(tmp_path, capsys):
     assert not (tmp_path / "data.bin").exists()
 
 
+@pytest.mark.parametrize("key, value, detail", [
+    ("speed", -1.0, "speed and sample_rate must be positive"),
+    ("waypoints", [[0.0, 0.0]], "need at least two waypoints"),
+])
+@pytest.mark.parametrize("verb", ["show-config", "generate"])
+def test_trajectory_that_generate_rejects_exits_2_at_parse(tmp_path, capsys, verb, key,
+                                                           value, detail):
+    doc = _small_doc()
+    doc["scenario"]["trajectory"][key] = value
+    argv = [verb, "--config", _write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "config",
+                                  "detail": f"scenario.trajectory: {detail}"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where, seed", [("seeds", -1), ("seeds", 2**64 + 1),
+                                         ("flag", -1), ("flag", 2**64)])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, where, seed):
+    doc, flags = _small_doc(), []
+    if where == "seeds":
+        doc["seeds"]["trajectory"] = seed
+    else:
+        flags = ["--seed-override", str(seed)]
+    assert main(["show-config", "--config", _write_doc(tmp_path, doc), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["detail"].endswith(f"seed must lie in [0, 2^64), got {seed}")
+
+
+def test_seed_override_takes_seeds_up_to_2_pow_64(tmp_path, capsys):
+    cfg = _write_doc(tmp_path, _small_doc())
+    for root in (2**63, 2**64 - 1):
+        assert main(["show-config", "--config", cfg, "--seed-override", str(root)]) == 0
+        assert json.loads(capsys.readouterr().out)["seeds"] == derive_seeds(root)
+
+
 def test_config_and_preset_are_mutually_exclusive(tmp_path, capsys):
     cfg = _write_doc(tmp_path, _small_doc())
     with pytest.raises(SystemExit) as exc:

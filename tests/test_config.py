@@ -89,6 +89,24 @@ def test_seeds_section_must_be_complete():
         ExperimentConfig.from_dict(_minimal_doc(seeds=extra))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_seeds_outside_64_bits_rejected(seed):
+    # SplitMix64 reduces a seed mod 2^64, so these would alias a seed in range
+    for stage in STAGES:
+        seeds = dict(derive_seeds(0), **{stage: seed})
+        with pytest.raises(ConfigError, match=rf"^seeds\.{stage}: seed must lie in \[0, 2\^64\)"):
+            ExperimentConfig.from_dict(_minimal_doc(seeds=seeds))
+    with pytest.raises(ConfigError, match=r"^seed root: seed must lie in \[0, 2\^64\)"):
+        preset("tiny").with_seed_root(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_seeds_across_64_bits_accepted(seed):
+    seeds = {stage: seed for stage in STAGES}
+    assert ExperimentConfig.from_dict(_minimal_doc(seeds=seeds)).seeds == seeds
+    assert preset("tiny").with_seed_root(seed).seeds == derive_seeds(seed)
+
+
 def test_type_checks_reject_bools_and_strings():
     with pytest.raises(ConfigError, match="encoder.n_init"):
         ExperimentConfig.from_dict(_minimal_doc(encoder={"n_init": True}))
@@ -146,6 +164,11 @@ _EXPLICIT = {
     ("scatterers", "gains", [0.0], "scenario.scatterers"),
     pytest.param("training", "margin", 10**400, "training.margin",
                  id="training-margin-int-past-float-range"),
+    ("trajectory", "speed", -1.0, "^scenario.trajectory: speed and sample_rate must be positive"),
+    ("trajectory", "sample_rate", 0.0,
+     "^scenario.trajectory: speed and sample_rate must be positive"),
+    ("trajectory", "waypoints", [[0.0, 0.0]],
+     "^scenario.trajectory: need at least two waypoints"),
 ])
 def test_bad_values_rejected_at_parse_time(section, key, value, match):
     # json.loads accepts NaN and Infinity, so a config file can carry them

@@ -318,6 +318,13 @@ def test_backward_batch_is_bitwise_the_full_row_oracle(case):
     for g, w in zip(got, want):
         assert np.isfinite(g).all()
         assert np.array_equal(g, w)
+    # written in place, over stale values: with no live row the dictionary
+    # products have an empty inner dimension and must still write zeros
+    out = [np.full(a.shape, np.nan) for a in p.arrays()]
+    in_place = backward_batch(p, cache, gz, out)
+    for g, o, w in zip(in_place, out, want):
+        assert g is o
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +444,31 @@ def test_mlp_batch_matches_scalar():
         assert relative_error(batch_grads[layer], sums[layer]) < 1e-12
 
 
+@pytest.mark.parametrize("case", ["every row live", "no row live", "degenerate rows",
+                                  "nan rows"])
+def test_mlp_backward_batch_writes_into_out(case):
+    p = mlp_init(6, seed=11, hidden=(5, 3))
+    channels = _random_channels(12, 8, 6)
+    gz = SplitMix64(13).normals(16).reshape(8, 2)
+    if case == "no row live":
+        gz[:] = 0.0
+    elif case == "degenerate rows":
+        channels[:] = 0.0
+    elif case == "nan rows":
+        channels[[1, 6]] = np.nan
+    _, acts, ok = mlp_forward_batch(p, channels)
+    assert ok.all() == (case in ("every row live", "no row live"))
+    want = mlp_backward_batch(p, acts, gz, ok)
+    out = [np.full(w.shape, np.nan) for w in p.weights]
+    got = mlp_backward_batch(p, acts, gz, ok, out)
+    assert got is out
+    for g, w in zip(got, want):
+        assert np.isfinite(g).all()
+        assert np.array_equal(g, w)
+    if case in ("no row live", "degenerate rows"):
+        assert not any(g.any() for g in got)
+
+
 def test_mlp_batch_flags_zero_rows():
     p = mlp_init(4, seed=1, hidden=(3,))
     channels = _random_channels(2, 3, 4)
@@ -521,6 +553,25 @@ def test_chart_batch_blocks_equal_blockwise_forward(kind, n):
     z_idx, ok_idx = chart_batch(model, channels, index)
     want_z, want_ok = chart_batch(model, channels[index])
     assert np.array_equal(z_idx, want_z) and np.array_equal(ok_idx, want_ok)
+
+
+def test_indexed_chart_batch_gathers_no_complex_block():
+    # the hybrid gathers selected rows straight into its real and imaginary
+    # planes, so selecting rows costs no complex copy of a block
+    n, m = 4 * CHART_ROWS + 7, 128
+    channels = _random_channels(86, n, m)
+    model = _random_params(87, m, 8, 3)
+    index = np.arange(n)[::-1].copy()
+    peaks = []
+    for rows in (None, index):
+        tracemalloc.start()
+        try:
+            chart_batch(model, channels, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    plain, indexed = peaks
+    assert indexed < plain + CHART_ROWS * m * 16 // 2
 
 
 def test_chart_batch_memory_stays_below_one_real_plane():

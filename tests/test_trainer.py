@@ -234,14 +234,28 @@ def _tiny_model(cfg, cs, kind: str):
     return mlp_init(cs.channels.shape[1], cfg.seeds["init"], d_out=e.d_out)
 
 
+def _allocating(backward):
+    """``backward`` computing fresh gradient arrays, then copying them into ``out``."""
+    def run(*args):
+        *args, out = args
+        for dst, src in zip(out, backward(*args)):
+            np.copyto(dst, src)
+        return out
+    return run
+
+
 @pytest.mark.parametrize("kind", ["hybrid", "mlp"])
 def test_train_is_bitwise_the_textbook_adam(tiny, kind, monkeypatch):
+    # the reference allocates every step's gradients, as training did before
+    # it kept one gradient set per run
     cfg, cs = tiny
     tcfg = dataclasses.replace(cfg.train_config(), epochs=2)
     mining = cfg.mining_config(cs.sample_rate)
     shipped = _tiny_model(cfg, cs, kind)
     report = train(shipped, cs, tcfg, mining)
     monkeypatch.setattr(trainer, "adam_step", adam_oracle)
+    for name in ("backward_batch", "mlp_backward_batch"):
+        monkeypatch.setattr(encoder, name, _allocating(getattr(encoder, name)))
     textbook = _tiny_model(cfg, cs, kind)
     ref = train(textbook, cs, tcfg, mining)
     assert report.epoch_losses == ref.epoch_losses
@@ -287,6 +301,26 @@ def test_hybrid_train_peaks_below_one_plane_of_the_dataset():
     finally:
         tracemalloc.stop()
     assert peak < n * m * 8
+
+
+def test_mlp_train_holds_one_gradient_set(tiny):
+    # Adam's two moments, one gradient set and one step's activations; the
+    # margin is a quarter of a gradient set, so the previous step's gradients
+    # alive beside the new ones do not fit
+    cfg, cs = tiny
+    tcfg = dataclasses.replace(cfg.train_config(), epochs=2)
+    model = _tiny_model(cfg, cs, "mlp")
+    param_bytes = sum(a.nbytes for a in model.arrays())
+    widths = [w.shape[1] for w in model.weights] + [model.d_out]
+    activation_bytes = 3 * tcfg.batch_size * sum(widths) * 8
+    tracemalloc.start()
+    try:
+        train(model, cs, tcfg, cfg.mining_config(cs.sample_rate))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parameters exist before tracing starts and are not counted
+    assert peak < 3 * param_bytes + activation_bytes + param_bytes // 4
 
 
 def test_train_survives_a_nan_channel_row(tiny):
