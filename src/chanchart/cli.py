@@ -186,7 +186,7 @@ def cmd_show_config(cfg: ExperimentConfig, out_path: str | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# argument parsing; each verb's parser names the function that runs it
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,10 +205,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[common], help="synthesize a channel dataset")
     p.add_argument("--out", required=True, metavar="DATA", help="dataset file to write")
+    p.set_defaults(run=lambda cfg, a: cmd_generate(cfg, a.out))
 
     p = sub.add_parser("init", parents=[common], help="initialize an encoder model")
     p.add_argument("--data", required=True, metavar="DATA", help="dataset file")
     p.add_argument("--out", required=True, metavar="MODEL", help="model file to write")
+    p.set_defaults(run=lambda cfg, a: cmd_init(cfg, a.data, a.out))
 
     p = sub.add_parser("train", parents=[common], help="train a model on mined triplets")
     p.add_argument("--data", required=True, metavar="DATA", help="dataset file")
@@ -216,12 +218,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="MODEL", help="trained model file to write")
     p.add_argument("--loss-csv", default=None, metavar="CSV",
                    help="optional per-epoch mean loss CSV")
+    p.set_defaults(run=lambda cfg, a: cmd_train(cfg, a.data, a.model_in, a.out, a.loss_csv))
 
     p = sub.add_parser("eval", parents=[common],
                        help="score a model on the held-out split")
     p.add_argument("--data", required=True, metavar="DATA", help="dataset file")
     p.add_argument("--model", required=True, metavar="MODEL", help="model file")
     p.add_argument("--out", required=True, metavar="CSV", help="metrics CSV to write")
+    p.set_defaults(run=lambda cfg, a: cmd_eval(cfg, a.data, a.model, a.out))
 
     p = sub.add_parser("chart", parents=[common],
                        help="export chart coordinates as CSV and SVG")
@@ -229,15 +233,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, metavar="MODEL", help="model file")
     p.add_argument("--out", required=True, metavar="BASE",
                    help="output base path; writes BASE.csv and BASE.svg")
+    p.set_defaults(run=lambda cfg, a: cmd_chart(cfg, a.data, a.model, a.out))
 
     p = sub.add_parser("compare", parents=[common],
                        help="run smart/random/mlp arms end-to-end on shared data")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
+    p.set_defaults(run=lambda cfg, a: cmd_compare(cfg, a.out))
 
     p = sub.add_parser("show-config", parents=[common],
                        help="print or write the resolved config JSON")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write here instead of stdout ('-' for stdout)")
+    p.set_defaults(run=lambda cfg, a: cmd_show_config(cfg, a.out))
 
     return parser
 
@@ -252,25 +259,6 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _dispatch(args) -> int:
-    cfg = _resolve_config(args)
-    if args.verb == "generate":
-        return cmd_generate(cfg, args.out)
-    if args.verb == "init":
-        return cmd_init(cfg, args.data, args.out)
-    if args.verb == "train":
-        return cmd_train(cfg, args.data, args.model_in, args.out, args.loss_csv)
-    if args.verb == "eval":
-        return cmd_eval(cfg, args.data, args.model, args.out)
-    if args.verb == "chart":
-        return cmd_chart(cfg, args.data, args.model, args.out)
-    if args.verb == "compare":
-        return cmd_compare(cfg, args.out)
-    if args.verb == "show-config":
-        return cmd_show_config(cfg, args.out)
-    raise AssertionError(f"unhandled verb {args.verb}")
-
-
 def _fail(category: str, detail: str, code: int) -> int:
     sys.stderr.write(json.dumps({"error": category, "detail": detail}) + "\n")
     return code
@@ -279,7 +267,7 @@ def _fail(category: str, detail: str, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(_resolve_config(args), args)
     except ConfigError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     except fileio.FileFormatError as exc:

@@ -144,8 +144,8 @@ class EncoderSettings:
             raise ValueError(f"init: expected 'smart' or 'random', got {self.init!r}")
 
 
-# Runtime fields that no section sets: stage seeds come from the seeds
-# section, and the sampling rate from the dataset that is mined.
+# Fields that no section sets: stage seeds come from the seeds section, and
+# the sampling rate from the scenario.
 _DERIVED = ("seed", "sample_rate")
 _PARSE = {"int": _as_int, "float": _as_float, "str": _as_str}
 
@@ -170,7 +170,24 @@ def _section(d: dict, cls, where: str, **derived):
         raise ConfigError(f"{where}.{exc}") from exc
 
 
-def _parse_radio(d: dict, where: str) -> RadioConfig:
+def _build(cls, where: str, **kw):
+    """cls(**kw), with its ValueError reported as ConfigError on the section."""
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _as_count(v, where: str) -> int:
+    # a sample count past 2^53 no longer converts to a float exactly
+    n = _as_int(v, where)
+    if not 2 <= n <= 2**53:
+        raise ConfigError(f"{where} must lie in [2, 2^53]")
+    return n
+
+
+def _parse_radio(d: dict, where: str) -> dict:
+    """The RadioConfig keywords of a radio section, type-checked."""
     _check_keys(d, {f.name for f in fields(RadioConfig)}, set(), where)
     kw = {}
     for key in ("n_rows", "n_cols", "n_subcarriers"):
@@ -182,39 +199,23 @@ def _parse_radio(d: dict, where: str) -> RadioConfig:
     if "bs_position" in d:
         (pos,) = _as_point_list([d["bs_position"]], 3, f"{where}.bs_position")
         kw["bs_position"] = tuple(pos)
-    try:
-        return RadioConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_scatterers(d: dict, where: str) -> ScattererSet:
-    _check_keys(d, {"points", "gains"}, {"points", "gains"}, where)
-    points = _as_point_list(d["points"], 3, f"{where}.points")
-    gains = _as_floats(d["gains"], f"{where}.gains")
-    try:
-        return ScattererSet(points=points, gains=gains)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return kw
 
 
 def _parse_scenario(d: dict) -> dict:
+    """The scenario section, type-checked; its objects are built by _scenario_objects."""
     if not isinstance(d, dict):
         raise ConfigError("scenario: expected an object")
     kind = _as_str(d.get("kind", "loop"), "scenario.kind")
     if kind == "loop":
         _check_keys(d, {"kind", "n_samples", "geometry_samples", "jitter_sigma"},
                     {"n_samples"}, "scenario")
-        out = {"kind": "loop", "n_samples": _as_int(d["n_samples"], "scenario.n_samples")}
-        if out["n_samples"] < 2:
-            raise ConfigError("scenario.n_samples must be >= 2")
-        out["geometry_samples"] = _as_int(d.get("geometry_samples", out["n_samples"]),
-                                          "scenario.geometry_samples")
-        if out["geometry_samples"] < 2:
-            raise ConfigError("scenario.geometry_samples must be >= 2")
-        out["jitter_sigma"] = _as_nonnegative(d.get("jitter_sigma", 0.05),
-                                              "scenario.jitter_sigma")
-        return out
+        n = _as_count(d["n_samples"], "scenario.n_samples")
+        return {"kind": "loop", "n_samples": n,
+                "geometry_samples": _as_count(d.get("geometry_samples", n),
+                                              "scenario.geometry_samples"),
+                "jitter_sigma": _as_nonnegative(d.get("jitter_sigma", 0.05),
+                                                "scenario.jitter_sigma")}
     if kind == "explicit":
         _check_keys(d, {"kind", "trajectory", "radio", "scatterers"},
                     {"trajectory", "radio", "scatterers"}, "scenario")
@@ -228,17 +229,25 @@ def _parse_scenario(d: dict) -> dict:
             "jitter_sigma": _as_nonnegative(traj.get("jitter_sigma", 0.0),
                                             "scenario.trajectory.jitter_sigma"),
         }
-        # trajectory, scatterers and radio are validated now and built again,
-        # with the trajectory seed, by scenario_objects
-        try:
-            TrajectoryConfig(**trajectory)
-        except ValueError as exc:
-            raise ConfigError(f"scenario.trajectory: {exc}") from exc
-        scat = _parse_scatterers(d["scatterers"], "scenario.scatterers")
         _parse_radio(d["radio"], "scenario.radio")
+        scat = d["scatterers"]
+        _check_keys(scat, {"points", "gains"}, {"points", "gains"}, "scenario.scatterers")
         return {"kind": "explicit", "trajectory": trajectory, "radio": dict(d["radio"]),
-                "scatterers": {"points": scat.points, "gains": scat.gains}}
+                "scatterers": {"points": _as_point_list(scat["points"], 3,
+                                                        "scenario.scatterers.points"),
+                               "gains": _as_floats(scat["gains"], "scenario.scatterers.gains")}}
     raise ConfigError(f"scenario.kind: expected 'loop' or 'explicit', got {kind!r}")
+
+
+def _scenario_objects(sc: dict, seed: int):
+    """(TrajectoryConfig, RadioConfig, ScattererSet, n_samples or None) of a parsed scenario."""
+    if sc["kind"] == "loop":
+        n = sc["n_samples"]
+        return (*loop_scenario(n, seed=seed, jitter_sigma=sc["jitter_sigma"],
+                               geometry_samples=sc["geometry_samples"]), n)
+    traj = _build(TrajectoryConfig, "scenario.trajectory", **sc["trajectory"], seed=seed)
+    radio = _build(RadioConfig, "scenario.radio", **_parse_radio(sc["radio"], "scenario.radio"))
+    return traj, radio, _build(ScattererSet, "scenario.scatterers", **sc["scatterers"]), None
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +258,8 @@ def _parse_scenario(d: dict) -> dict:
 class ExperimentConfig:
     """Validated, fully resolved experiment description.
 
-    ``training`` and ``mining`` carry their stage seeds; ``mining``'s
-    sampling rate is NaN until ``mining_config`` sets the dataset's.
+    ``training`` and ``mining`` carry their stage seeds, and ``mining`` the
+    scenario's sampling rate.
     """
 
     scenario: dict
@@ -274,8 +283,14 @@ class ExperimentConfig:
         _check_keys(sd, set(STAGES), set(STAGES), "seeds")
         seeds = {stage: _as_seed(sd[stage], f"seeds.{stage}") for stage in STAGES}
 
+        # every scenario object is built now, so a scenario that cannot be
+        # sampled fails here and not in a later verb
+        rate = _scenario_objects(scenario, seeds["trajectory"])[0].sample_rate
         mining = _section(doc.get("mining", {}), MiningConfig, "mining",
-                          sample_rate=math.nan, seed=seeds["mining"])
+                          sample_rate=rate, seed=seeds["mining"])
+        if not (math.isfinite(mining.t_far * rate) and 1 <= mining.s_close < mining.s_far):
+            raise ConfigError(f"mining.t_close/t_far: at {rate!r} samples/s the windows "
+                              "must round to 1 <= S_close < S_far samples")
         training = _section(doc.get("training", {}), TrainConfig, "training",
                             seed=seeds["training"])
         if training.epochs < 1:  # TrainConfig itself allows 0 epochs, a no-op
@@ -284,9 +299,9 @@ class ExperimentConfig:
         ev = doc.get("eval", {})
         _check_keys(ev, {"k_grid"}, set(), "eval")
         k_grid = tuple(_as_floats(ev.get("k_grid", list(DEFAULT_K_GRID)), "eval.k_grid"))
-        for g in k_grid:
-            if not (0.0 < g <= 1.0):
-                raise ConfigError(f"eval.k_grid: fraction {g!r} outside (0, 1]")
+        for g in k_grid:  # K = round(g * n) must not exceed (2n - 2) // 3
+            if not (0.0 < g < 2.0 / 3.0):
+                raise ConfigError(f"eval.k_grid: fraction {g!r} outside (0, 2/3)")
 
         ba = doc.get("baseline", {})
         _check_keys(ba, {"mlp"}, set(), "baseline")
@@ -332,30 +347,11 @@ class ExperimentConfig:
 
     def scenario_objects(self):
         """Build (TrajectoryConfig, RadioConfig, ScattererSet, n_samples)."""
-        seed = self.seeds["trajectory"]
-        sc = self.scenario
-        if sc["kind"] == "loop":
-            n, geo = sc["n_samples"], sc["geometry_samples"]
-            traj, radio, scat = loop_scenario(geo, seed=seed, jitter_sigma=sc["jitter_sigma"])
-            if geo != n:
-                # same loop geometry, walked with n samples instead of geo
-                perimeter = (geo - 1) * 0.2
-                rate = 1.4 * (n - 1) / perimeter
-                traj = TrajectoryConfig(waypoints=traj.waypoints, speed=1.4,
-                                        sample_rate=rate,
-                                        jitter_sigma=sc["jitter_sigma"], seed=seed)
-            return traj, radio, scat, n
-        tr = sc["trajectory"]
-        traj = TrajectoryConfig(waypoints=tr["waypoints"], speed=tr["speed"],
-                                sample_rate=tr["sample_rate"],
-                                jitter_sigma=tr["jitter_sigma"], seed=seed)
-        radio = _parse_radio(sc["radio"], "scenario.radio")
-        return traj, radio, ScattererSet(**sc["scatterers"]), None
+        return _scenario_objects(self.scenario, self.seeds["trajectory"])
 
     def sample_rate(self) -> float:
         """The sampling rate implied by the scenario, samples per second."""
-        traj, _, _, _ = self.scenario_objects()
-        return traj.sample_rate
+        return self.mining.sample_rate
 
     def mining_config(self, sample_rate: float) -> MiningConfig:
         return replace(self.mining, sample_rate=sample_rate)

@@ -353,16 +353,6 @@ def mlp_backward_batch(p: MlpParams, activations: list, gz: np.ndarray, ok: np.n
     return grads
 
 
-def hybrid_param_count(m: int, n_init: int, d_out: int) -> int:
-    """Real trainable parameters of the hybrid encoder: 2*m*n_init + d_out*n_init."""
-    return 2 * m * n_init + d_out * n_init
-
-
-def mlp_param_count(dims) -> int:
-    """Trainable parameters of a bias-free dense stack over the given dims chain."""
-    return sum(a * b for a, b in zip(dims, dims[1:]))
-
-
 def count_params(model) -> int:
     """Trainable parameter count of an encoder."""
     return sum(a.size for a in model.arrays())

@@ -1,11 +1,11 @@
 """From-scratch Isomap over a precomputed distance matrix.
 
 Pipeline: symmetrized k-nearest-neighbor graph, all-pairs shortest paths
-(Dijkstra per source, with minimum-cross-edge bridging when the graph falls
-apart into components), then classical multidimensional scaling on LAPACK's
-symmetric eigensolver (``numpy.linalg.eigh``).  Only used at
-encoder-initialization scale (a few hundred points), so everything favors
-determinism over asymptotics.  The pure-Python cyclic Jacobi solver
+(Dijkstra per source, with minimum-cross-edge bridging when the paths show
+the graph falls apart into components), then classical multidimensional
+scaling on LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).  Only
+used at encoder-initialization scale (a few hundred points), so everything
+favors determinism over asymptotics.  The pure-Python cyclic Jacobi solver
 ``jacobi_eigh`` is kept as the reference that the tests check MDS against;
 the pipeline does not call it.
 """
@@ -68,60 +68,39 @@ def knn_graph(dist: np.ndarray, k_iso: int) -> NeighborGraph:
     return NeighborGraph(n=n, adjacency=adjacency)
 
 
-def _components(g: NeighborGraph) -> np.ndarray:
-    labels = np.full(g.n, -1, dtype=np.int64)
-    comp = 0
-    for start in range(g.n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = comp
-        while stack:
-            u = stack.pop()
-            for v, _ in g.adjacency[u]:
-                if labels[v] < 0:
-                    labels[v] = comp
-                    stack.append(v)
-        comp += 1
-    return labels
-
-
-def _bridge(g: NeighborGraph, dist: np.ndarray) -> None:
-    """Connect components by repeatedly adding the minimum-weight cross edge."""
-    labels = _components(g)
-    while labels.max() > 0:
-        cross = labels[:, None] != labels[None, :]
-        masked = np.where(cross, dist, np.inf)
-        flat = int(np.argmin(masked))
-        i, j = divmod(flat, g.n)
-        w = float(dist[i, j])
-        g.adjacency[i].append((j, w))
-        g.adjacency[j].append((i, w))
-        g.adjacency[i].sort()
-        g.adjacency[j].sort()
-        labels = _components(g)
-
-
 def geodesic_distances(g: NeighborGraph, bridge_dist: np.ndarray | None = None) -> np.ndarray:
     """All-pairs shortest-path lengths over the graph.
 
-    A disconnected graph is first bridged using the original distance matrix
-    (`bridge_dist`): the single minimum-weight inter-component edge is added
-    repeatedly until one component remains.  Without `bridge_dist` a
-    disconnected graph raises.  The result takes each unordered pair from
-    the lower-source Dijkstra run and is therefore exactly symmetric.
+    Each unordered pair is taken from the lower-source Dijkstra run, so the
+    result is exactly symmetric.  A pair left at inf lies in two components,
+    and each component is named by its lowest index.  A disconnected graph
+    is bridged using the original distance matrix (`bridge_dist`): the
+    single minimum-weight edge between two components is added to
+    ``g.adjacency`` until one component remains, then the paths are run
+    again.  Without `bridge_dist` a disconnected graph raises.
     """
-    if _components(g).max() > 0:
+    out = _all_pairs(g)
+    labels = np.argmax(np.isfinite(out), axis=1)
+    if labels.any():
         if bridge_dist is None:
             raise ValueError("graph is disconnected and no distance matrix was given for bridging")
-        _bridge(g, np.asarray(bridge_dist, dtype=np.float64))
-    n = g.n
-    out = np.zeros((n, n))
-    for src in range(n):
-        d = _dijkstra(g, src)
-        out[src, src + 1:] = d[src + 1:]
-    out = out + out.T
+        dist = np.asarray(bridge_dist, dtype=np.float64)
+        while labels.any():
+            cross = labels[:, None] != labels[None, :]
+            i, j = divmod(int(np.argmin(np.where(cross, dist, np.inf))), g.n)
+            for a, b in ((i, j), (j, i)):
+                g.adjacency[a].append((b, float(dist[i, j])))
+                g.adjacency[a].sort()
+            labels[labels == max(labels[i], labels[j])] = min(labels[i], labels[j])
+        out = _all_pairs(g)
     return out
+
+
+def _all_pairs(g: NeighborGraph) -> np.ndarray:
+    out = np.zeros((g.n, g.n))
+    for src in range(g.n):
+        out[src, src + 1:] = _dijkstra(g, src)[src + 1:]
+    return out + out.T
 
 
 def _dijkstra(g: NeighborGraph, src: int) -> np.ndarray:

@@ -17,7 +17,7 @@ state:
 Derived quantities are defined on top of the raw 64-bit stream:
 
 * ``uniform``  -> ``(output >> 11) * 2**-53`` in ``[0, 1)``
-* ``normal``   -> Box-Muller on consecutive uniform pairs,
+* ``normals``  -> Box-Muller on consecutive uniform pairs,
   ``r = sqrt(-2 ln(1 - u1))``, ``(r cos(2 pi u2), r sin(2 pi u2))``;
   ``n`` normals always consume ``2 * ceil(n / 2)`` uniforms
 * ``randbelow(n)`` -> ``output mod n``
@@ -95,9 +95,6 @@ class SplitMix64:
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
         return out[:n]
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
     def randbelow(self, n: int) -> int:
         if n <= 0:

@@ -89,6 +89,15 @@ class TrajectoryConfig:
             raise ValueError("speed and sample_rate must be positive")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
+        # floor(length / step) + 1 samples: refuse more than 2^53, including
+        # a length that overflows and a step that underflows to 0
+        step = self.speed / self.sample_rate
+        with np.errstate(over="ignore", invalid="ignore"):
+            seg = np.diff(np.asarray(self.waypoints, dtype=np.float64), axis=0)
+            length = float(np.hypot(seg[:, 0], seg[:, 1]).sum())
+        if not (step > 0.0 and length / step < 2.0**53):
+            raise ValueError(f"a path of {length!r} m at {step!r} m per sample "
+                             "needs more than 2^53 samples")
 
 
 @dataclass
@@ -112,7 +121,6 @@ class ChannelSet:
 
     channels: np.ndarray        # (N, M) complex
     positions: np.ndarray       # (N, P) real, P = 2 or 3
-    radio: RadioConfig | None = None
     sample_rate: float = 7.0
 
     def __post_init__(self):
@@ -217,13 +225,12 @@ def synthesize_channels(track, radio: RadioConfig, scatterers: ScattererSet,
     for start in range(0, positions.shape[0], block):
         stop = min(start + block, positions.shape[0])
         rows[start:stop] = _synthesize_block(pos3[start:stop], radio, scatterers, start)
-    return ChannelSet(channels=rows, positions=positions, radio=radio,
-                      sample_rate=sample_rate)
+    return ChannelSet(channels=rows, positions=positions, sample_rate=sample_rate)
 
 
 # Default test scenario: a rectangular pedestrian loop, walked counterclockwise
 # starting from the lower-right corner, with the rectangle sized so that the
-# sample count at 0.2 m spacing hits the requested N.  The base station sits
+# sample count at 0.2 m spacing hits `geometry_samples`.  The base station sits
 # inside the loop, 10 m above the path plane; six fixed scatterers ring the
 # loop at lamppost heights with attenuation 0.5, placed well outside the
 # rectangle so that bounce paths stay weaker than the line of sight and the
@@ -232,12 +239,21 @@ _ASPECT_W = 400.0
 _ASPECT_H = 190.9
 
 
-def loop_scenario(n_samples: int, seed: int = 0, jitter_sigma: float = 0.05):
-    """(TrajectoryConfig, RadioConfig, ScattererSet) for a rectangular loop."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+def loop_scenario(n_samples: int, seed: int = 0, jitter_sigma: float = 0.05,
+                  geometry_samples: int | None = None):
+    """(TrajectoryConfig, RadioConfig, ScattererSet) for a rectangular loop.
+
+    The loop is sized for `geometry_samples` (default `n_samples`) and
+    walked at 1.4 m/s with `n_samples` equally spaced samples, so any other
+    `n_samples` moves the sampling rate away from 7 samples/s.
+    """
+    geo = n_samples if geometry_samples is None else geometry_samples
+    if min(n_samples, geo) < 2:
+        raise ValueError("n_samples and geometry_samples must be >= 2")
     speed, rate = 1.4, 7.0
-    perimeter = (n_samples - 1) * (speed / rate)
+    perimeter = (geo - 1) * (speed / rate)
+    if geo != n_samples:  # 0.2, not speed / rate: the two differ in float64
+        rate = 1.4 * (n_samples - 1) / ((geo - 1) * 0.2)
     half = perimeter / 2.0
     w = half * _ASPECT_W / (_ASPECT_W + _ASPECT_H)
     h = half - w
@@ -254,8 +270,3 @@ def loop_scenario(n_samples: int, seed: int = 0, jitter_sigma: float = 0.05):
                 [-0.25 * w, 1.40 * h, 4.5]],
         gains=[0.5] * 6)
     return traj, radio, scatterers
-
-
-def default_scenario(seed: int = 0):
-    """The full-size loop: N = 5910 samples, M = 1024."""
-    return loop_scenario(5910, seed=seed)

@@ -88,38 +88,19 @@ def mine_triplets(n: int, cfg: MiningConfig) -> list[TripletIndex]:
     return out
 
 
+def _row(*vectors):
+    return [np.asarray(v, dtype=np.float64)[None, :] for v in vectors]
+
+
 def triplet_loss(z, z_plus, z_minus, m: float):
-    """Margin loss for one triplet; returns (loss, d_plus, d_minus)."""
-    z = np.asarray(z, dtype=np.float64)
-    d_plus = float(np.linalg.norm(z - np.asarray(z_plus, dtype=np.float64)))
-    d_minus = float(np.linalg.norm(z - np.asarray(z_minus, dtype=np.float64)))
-    return max(0.0, d_plus - d_minus + m), d_plus, d_minus
+    """Margin loss for one triplet; returns (loss, d_plus, d_minus) as floats."""
+    return tuple(float(x[0]) for x in triplet_loss_batch(*_row(z, z_plus, z_minus), m))
 
 
 def triplet_loss_grad(z, z_plus, z_minus, m: float):
-    """Subgradients of the margin loss w.r.t. (z, z_plus, z_minus).
-
-    Inactive loss gives three zero vectors; a coincident pair (zero
-    distance) contributes a zero subgradient for its branch.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    z_plus = np.asarray(z_plus, dtype=np.float64)
-    z_minus = np.asarray(z_minus, dtype=np.float64)
-    loss, d_plus, d_minus = triplet_loss(z, z_plus, z_minus, m)
-    gz = np.zeros_like(z)
-    gzp = np.zeros_like(z)
-    gzm = np.zeros_like(z)
-    if loss == 0.0:
-        return gz, gzp, gzm
-    if d_plus > 0.0:
-        u = (z - z_plus) / d_plus
-        gz += u
-        gzp -= u
-    if d_minus > 0.0:
-        u = (z - z_minus) / d_minus
-        gz -= u
-        gzm += u
-    return gz, gzp, gzm
+    """Subgradients of the margin loss w.r.t. (z, z_plus, z_minus), as 1-D arrays."""
+    _, gz, gzp, gzm = triplet_loss_grad_batch(*_row(z, z_plus, z_minus), m)
+    return gz[0], gzp[0], gzm[0]
 
 
 def triplet_loss_batch(z, z_plus, z_minus, m: float):
@@ -130,7 +111,11 @@ def triplet_loss_batch(z, z_plus, z_minus, m: float):
 
 
 def triplet_loss_grad_batch(z, z_plus, z_minus, m: float):
-    """Row-wise loss subgradients; returns (loss, gz, gz_plus, gz_minus)."""
+    """Row-wise loss subgradients; returns (loss, gz, gz_plus, gz_minus).
+
+    An inactive row (zero loss) gets zero subgradients, and a coincident pair
+    (zero distance) contributes a zero subgradient for its branch.
+    """
     loss, d_plus, d_minus = triplet_loss_batch(z, z_plus, z_minus, m)
     active = loss > 0.0
     wp = np.where(active & (d_plus > 0.0), 1.0 / np.where(d_plus > 0.0, d_plus, 1.0), 0.0)

@@ -5,6 +5,7 @@ loops and well-known textbook formulations -- so that agreement between an
 oracle and the fast implementation is meaningful evidence, not a tautology.
 """
 
+import heapq
 import math
 import struct
 from types import SimpleNamespace
@@ -331,3 +332,100 @@ def mlp_backward_oracle(p, activations: list, gz: np.ndarray):
         if i > 0:
             g = p.weights[i].T @ g
     return grads
+
+
+def triplet_loss_oracle(z, z_plus, z_minus, m: float):
+    """Margin loss of one triplet; returns (loss, d_plus, d_minus).
+
+    This was the package's per-sample ``triplet_loss``.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    d_plus = float(np.linalg.norm(z - np.asarray(z_plus, dtype=np.float64)))
+    d_minus = float(np.linalg.norm(z - np.asarray(z_minus, dtype=np.float64)))
+    return max(0.0, d_plus - d_minus + m), d_plus, d_minus
+
+
+def triplet_loss_grad_oracle(z, z_plus, z_minus, m: float):
+    """Subgradients of the margin loss w.r.t. (z, z_plus, z_minus).
+
+    This was the package's per-sample ``triplet_loss_grad``.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    z_plus = np.asarray(z_plus, dtype=np.float64)
+    z_minus = np.asarray(z_minus, dtype=np.float64)
+    loss, d_plus, d_minus = triplet_loss_oracle(z, z_plus, z_minus, m)
+    gz = np.zeros_like(z)
+    gzp = np.zeros_like(z)
+    gzm = np.zeros_like(z)
+    if loss == 0.0:
+        return gz, gzp, gzm
+    if d_plus > 0.0:
+        u = (z - z_plus) / d_plus
+        gz += u
+        gzp -= u
+    if d_minus > 0.0:
+        u = (z - z_minus) / d_minus
+        gz -= u
+        gzm += u
+    return gz, gzp, gzm
+
+
+def _dfs_components(adjacency: list) -> np.ndarray:
+    labels = np.full(len(adjacency), -1, dtype=np.int64)
+    comp = 0
+    for start in range(len(adjacency)):
+        if labels[start] >= 0:
+            continue
+        stack = [start]
+        labels[start] = comp
+        while stack:
+            u = stack.pop()
+            for v, _ in adjacency[u]:
+                if labels[v] < 0:
+                    labels[v] = comp
+                    stack.append(v)
+        comp += 1
+    return labels
+
+
+def _heap_dijkstra(adjacency: list, src: int) -> np.ndarray:
+    dist = np.full(len(adjacency), np.inf)
+    dist[src] = 0.0
+    done = np.zeros(len(adjacency), dtype=bool)
+    heap = [(0.0, src)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adjacency[u]:
+            cand = du + w
+            if not done[v] and cand < dist[v]:
+                dist[v] = cand
+                heapq.heappush(heap, (cand, v))
+    return dist
+
+
+def bridged_geodesics_oracle(g, dist: np.ndarray) -> np.ndarray:
+    """All-pairs geodesics after bridging components by depth-first search.
+
+    This was the package's ``geodesic_distances``: while a depth-first
+    search finds more than one component, add the minimum-weight edge
+    between two components (``g.adjacency`` is extended in place); then run
+    Dijkstra from every source and keep each pair from its lower source.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    labels = _dfs_components(g.adjacency)
+    while labels.max() > 0:
+        masked = np.where(labels[:, None] != labels[None, :], dist, np.inf)
+        i, j = divmod(int(np.argmin(masked)), g.n)
+        w = float(dist[i, j])
+        g.adjacency[i].append((j, w))
+        g.adjacency[j].append((i, w))
+        g.adjacency[i].sort()
+        g.adjacency[j].sort()
+        labels = _dfs_components(g.adjacency)
+    out = np.zeros((g.n, g.n))
+    for src in range(g.n):
+        out[src, src + 1:] = _heap_dijkstra(g.adjacency, src)[src + 1:]
+    return out + out.T

@@ -293,6 +293,57 @@ def test_seed_override_takes_seeds_up_to_2_pow_64(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["seeds"] == derive_seeds(root)
 
 
+def _tiny_doc(**sections):
+    doc = preset("tiny").to_dict()
+    for name, values in sections.items():
+        doc[name].update(values)
+    return doc
+
+
+def _parse_error(tmp_path, capsys, doc) -> str:
+    """show-config on doc must exit 2 with one JSON line; returns its detail."""
+    assert main(["show-config", "--config", _write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+    return json.loads(err[0])["detail"]
+
+
+_BIG = 10**400  # an integer past the float range
+
+
+@pytest.mark.parametrize("kind, change, detail", [
+    ("loop", {"n_samples": _BIG}, "scenario.n_samples must lie in [2, 2^53]"),
+    ("loop", {"geometry_samples": _BIG}, "scenario.geometry_samples must lie in [2, 2^53]"),
+    ("loop", {"geometry_samples": 2**53 + 1},
+     "scenario.geometry_samples must lie in [2, 2^53]"),
+    ("explicit", {"waypoints": [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]},
+     "scenario.trajectory: a path of inf m at 1.0 m per sample needs more than 2^53 samples"),
+    ("explicit", {"speed": 1e-300, "sample_rate": 1e300},
+     "scenario.trajectory: a path of 60.0 m at 0.0 m per sample needs more than 2^53 samples"),
+], ids=["n_samples", "geometry_samples", "past-2-pow-53", "length-overflow", "step-underflow"])
+def test_scenario_that_cannot_be_sampled_exits_2_at_parse(tmp_path, capsys, kind, change,
+                                                          detail):
+    if kind == "loop":
+        doc = _tiny_doc(scenario=change)
+    else:
+        doc = _small_doc()
+        doc["scenario"]["trajectory"].update(change)
+    assert _parse_error(tmp_path, capsys, doc) == detail
+
+
+def test_k_grid_fraction_that_cannot_be_scored_exits_2_at_parse(tmp_path, capsys):
+    # K = round(0.7 * n) exceeds (2n - 2) // 3 for every n
+    detail = _parse_error(tmp_path, capsys, _tiny_doc(eval={"k_grid": [0.7]}))
+    assert detail == "eval.k_grid: fraction 0.7 outside (0, 2/3)"
+
+
+def test_mining_windows_without_triplets_exit_2_at_parse(tmp_path, capsys):
+    # at tiny's 0.70 samples/s both windows round to 0 samples
+    detail = _parse_error(tmp_path, capsys, _tiny_doc(mining={"t_close": 0.01, "t_far": 0.02}))
+    assert detail.startswith("mining.t_close/t_far: at 0.6968484242121059 samples/s")
+
+
 def test_config_and_preset_are_mutually_exclusive(tmp_path, capsys):
     cfg = _write_doc(tmp_path, _small_doc())
     with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,6 @@ from chanchart.encoder import (
     count_params,
     forward,
     forward_batch,
-    hybrid_param_count,
     init_random,
     init_smart,
     mlp_backward,
@@ -26,7 +25,6 @@ from chanchart.encoder import (
     mlp_forward,
     mlp_forward_batch,
     mlp_init,
-    mlp_param_count,
 )
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import ChannelSet
@@ -484,15 +482,12 @@ def test_mlp_batch_flags_zero_rows():
 
 def test_param_counts():
     # hybrid: complex dictionary (two real arrays) plus real anchors
-    assert hybrid_param_count(1024, 100, 2) == 205000
-    assert hybrid_param_count(1024, 200, 2) == 410000
-    # the full-width MLP stack
-    dims = (2048, 1024, 512, 256, 128, 64, 2)
-    assert mlp_param_count(dims) == 2793600
-    p = mlp_init(1024, seed=0)
-    assert count_params(p) == 2793600
-    q = init_random(1024, 100, 5, 2, seed=0)
-    assert count_params(q) == 205000
+    for m, n_init, d_out in ((1024, 100, 2), (1024, 200, 2), (12, 7, 3)):
+        q = init_random(m, n_init, 3, d_out, seed=0)
+        assert count_params(q) == 2 * m * n_init + d_out * n_init
+    # bias-free dense stacks, the full-width one over (2048, 1024, ..., 64, 2)
+    assert count_params(mlp_init(1024, seed=0)) == 2793600
+    assert count_params(mlp_init(6, seed=0, hidden=(5, 4), d_out=3)) == 12 * 5 + 5 * 4 + 4 * 3
 
 
 def test_chart_batch_dispatch():

@@ -17,7 +17,7 @@ from chanchart.isomap import (
 from chanchart.metricspace import distance_matrix
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import generate_trajectory, synthesize_channels
-from helpers import floyd_warshall, procrustes_residual
+from helpers import bridged_geodesics_oracle, floyd_warshall, procrustes_residual
 
 
 def _euclidean(points: np.ndarray) -> np.ndarray:
@@ -83,11 +83,7 @@ def test_geodesics_match_floyd_warshall():
         pts = _random_points(seed, 40, 2)
         d = _euclidean(pts)
         g = knn_graph(d, 4)
-        dense = np.full((40, 40), np.inf)
-        for i, adj in enumerate(g.adjacency):
-            for j, w in adj:
-                dense[i, j] = w
-        expected = floyd_warshall(dense)
+        expected = floyd_warshall(_dense(g))
         got = geodesic_distances(g)
         assert np.isfinite(got).all()
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
@@ -113,6 +109,36 @@ def test_disconnected_graph_requires_bridge():
     # the bridge is the shortest inter-cluster distance: 1 <-> 2 at 99
     assert geo[1, 2] == 99.0
     assert geo[0, 3] == 1.0 + 99.0 + 1.0
+
+
+def test_bridging_matches_depth_first_oracle():
+    # integer grid points give many tied distances; k_iso = 1 or 2 leaves
+    # the graph in many components
+    disconnected, most = 0, 0
+    for seed in range(60):
+        rng = SplitMix64(seed)
+        n = 2 + rng.randbelow(39)
+        pts = np.array([[rng.randbelow(12), rng.randbelow(12)] for _ in range(n)], float)
+        pts[:, 0] += np.arange(n) * 1e-3 * rng.randbelow(2)  # half the draws untie
+        d = _euclidean(pts)
+        k = 1 + rng.randbelow(min(2, n - 1))
+        g, ref = knn_graph(d, k), knn_graph(d, k)
+        components = len(set(np.argmax(np.isfinite(floyd_warshall(_dense(g))), axis=1)))
+        disconnected += components > 1
+        most = max(most, components)
+        got = geodesic_distances(g, bridge_dist=d)
+        assert np.array_equal(got, bridged_geodesics_oracle(ref, d)), seed
+        assert g.adjacency == ref.adjacency, seed
+        assert np.isfinite(got).all()
+    assert disconnected >= 40 and most >= 10
+
+
+def _dense(g) -> np.ndarray:
+    dense = np.full((g.n, g.n), np.inf)
+    for i, adj in enumerate(g.adjacency):
+        for j, w in adj:
+            dense[i, j] = w
+    return dense
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from chanchart.synthgen import (
     ScattererSet,
     TrajectoryConfig,
     channel_vector,
-    default_scenario,
     generate_trajectory,
     loop_scenario,
     synthesize_channels,
@@ -75,6 +74,11 @@ def test_trajectory_validation():
         TrajectoryConfig(waypoints=[[0.0, 0.0], [1.0, 0.0]], jitter_sigma=-0.1)
     with pytest.raises(ValueError):
         generate_trajectory(TrajectoryConfig(waypoints=[[1.0, 1.0], [1.0, 1.0]]))
+    # more than 2^53 samples: a length that overflows, a step that underflows
+    with pytest.raises(ValueError, match="2\\^53"):
+        TrajectoryConfig(waypoints=[[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0]])
+    with pytest.raises(ValueError, match="2\\^53"):
+        TrajectoryConfig(waypoints=[[0.0, 0.0], [1.0, 0.0]], speed=1e-300, sample_rate=1e300)
 
 
 def test_loop_scenario_sample_count_and_spacing():
@@ -88,8 +92,22 @@ def test_loop_scenario_sample_count_and_spacing():
     assert len(scat.points) == 6
 
 
+@pytest.mark.parametrize("n, geo, rate", [(2000, 8865, 1.5786326714801442),
+                                           (200, 2000, 0.6968484242121059)])
+def test_sparse_loop_keeps_the_full_geometry(n, geo, rate):
+    # the desk and tiny shapes: the loop sized for geo samples, walked with n
+    dense, _, _ = loop_scenario(geo, seed=3, jitter_sigma=0.05)
+    traj, radio, scat = loop_scenario(n, seed=3, jitter_sigma=0.05, geometry_samples=geo)
+    assert traj == TrajectoryConfig(waypoints=dense.waypoints, speed=1.4,
+                                    sample_rate=1.4 * (n - 1) / ((geo - 1) * 0.2),
+                                    jitter_sigma=0.05, seed=3)
+    assert traj.sample_rate == rate
+    assert (radio, scat) == loop_scenario(geo)[1:]
+    assert generate_trajectory(traj).shape == (n, 2)
+
+
 def test_default_scenario_is_full_size():
-    traj, radio, _ = default_scenario()
+    traj, radio, _ = loop_scenario(5910)
     track = generate_trajectory(traj)
     assert track.shape[0] == 5910
     assert radio.m == 1024

@@ -14,7 +14,12 @@ from chanchart.triplet import (
     triplet_loss_grad,
     triplet_loss_grad_batch,
 )
-from helpers import central_difference, relative_error
+from helpers import (
+    central_difference,
+    relative_error,
+    triplet_loss_grad_oracle,
+    triplet_loss_oracle,
+)
 
 
 def _cfg(**kw) -> MiningConfig:
@@ -113,6 +118,7 @@ def test_loss_hand_cases():
     zm = np.array([0.0, 3.0])   # d- = 3
     loss, dp, dm = triplet_loss(z, zp, zm, m=1.0)
     assert (dp, dm) == (1.0, 3.0)
+    assert all(type(x) is float for x in (loss, dp, dm))
     assert loss == 0.0  # 1 - 3 + 1 = -1, hinge inactive
     loss, _, _ = triplet_loss(z, zp, zm, m=3.0)
     assert loss == 1.0  # 1 - 3 + 3
@@ -150,6 +156,7 @@ def test_grad_zero_distance_subgradient():
     z = np.array([1.0, 2.0])
     gz, gp, gm = triplet_loss_grad(z, z.copy(), np.array([5.0, 5.0]), m=10.0)
     # d+ = 0 exactly: its direction is undefined, subgradient contribution 0
+    assert gz.shape == gp.shape == gm.shape == (2,)
     assert np.isfinite(gz).all() and np.isfinite(gp).all() and np.isfinite(gm).all()
     assert np.array_equal(gp, [0.0, 0.0])
 
@@ -162,8 +169,8 @@ def test_batch_matches_scalar():
     losses, _, _ = triplet_loss_batch(z, zp, zm, m=1.0)
     _, gz, gp, gm = triplet_loss_grad_batch(z, zp, zm, m=1.0)
     for i in range(10):
-        l_i, _, _ = triplet_loss(z[i], zp[i], zm[i], m=1.0)
-        gz_i, gp_i, gm_i = triplet_loss_grad(z[i], zp[i], zm[i], m=1.0)
+        l_i, _, _ = triplet_loss_oracle(z[i], zp[i], zm[i], m=1.0)
+        gz_i, gp_i, gm_i = triplet_loss_grad_oracle(z[i], zp[i], zm[i], m=1.0)
         assert abs(losses[i] - l_i) < 1e-15
         assert np.allclose(gz[i], gz_i, atol=1e-15)
         assert np.allclose(gp[i], gp_i, atol=1e-15)
