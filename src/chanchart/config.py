@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 from .evalmetrics import DEFAULT_K_GRID
 from .rng import substream
 from .synthgen import RadioConfig, ScattererSet, TrajectoryConfig, loop_scenario
-from .trainer import TrainConfig
+from .trainer import TrainConfig, train_size
 from .triplet import MiningConfig
 
 
@@ -285,7 +285,8 @@ class ExperimentConfig:
 
         # every scenario object is built now, so a scenario that cannot be
         # sampled fails here and not in a later verb
-        rate = _scenario_objects(scenario, seeds["trajectory"])[0].sample_rate
+        traj, _, _, n = _scenario_objects(scenario, seeds["trajectory"])
+        rate = traj.sample_rate
         mining = _section(doc.get("mining", {}), MiningConfig, "mining",
                           sample_rate=rate, seed=seeds["mining"])
         if not (math.isfinite(mining.t_far * rate) and 1 <= mining.s_close < mining.s_far):
@@ -295,6 +296,12 @@ class ExperimentConfig:
                             seed=seeds["training"])
         if training.epochs < 1:  # TrainConfig itself allows 0 epochs, a no-op
             raise ConfigError("training.epochs must be >= 1")
+        # an anchor has a far candidate only if the split spans S_close + 2 samples
+        n_train = train_size(traj.n_samples if n is None else n, training.split_ratio)
+        if n_train < mining.s_close + 2:
+            raise ConfigError(f"mining.t_close: S_close = {mining.s_close} samples needs a "
+                              f"training split of at least {mining.s_close + 2} samples, "
+                              f"and the scenario's split holds {n_train}")
 
         ev = doc.get("eval", {})
         _check_keys(ev, {"k_grid"}, set(), "eval")

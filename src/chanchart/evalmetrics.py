@@ -6,9 +6,11 @@ from chart neighborhoods.  Both use exact integer rank arithmetic so that
 independent implementations agree to the last bit, and are reported over a
 grid of neighborhood sizes expressed as fractions of the evaluated set.
 
-Scoring ranks both spaces in blocks of rows, so its memory stays fixed
+Scoring walks both spaces in blocks of rows, so its memory stays fixed
 however many points are evaluated, and scores every K of the grid from one
-pass over the blocks (Venna & Kaski, ICANN 2001).
+pass over the blocks (Venna & Kaski, ICANN 2001).  A row whose squared
+distances hold no ties in either space is ranked from its sorted values;
+only rows with ties take the stable argsort that breaks them by index.
 """
 
 from __future__ import annotations
@@ -26,16 +28,24 @@ DEFAULT_K_GRID = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.10)
 RANK_ENTRIES = 1 << 16
 
 
-def _rank_rows(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of rank_matrix(x), for float64 points x."""
-    n = x.shape[0]
-    diff = x[lo:hi, None, :] - x[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+def _sq_rows(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Squared distances from rows lo..hi-1 of the float64 points x to every
+    point.  The difference array is filled one coordinate at a time, which
+    gives the same values as one broadcast subtraction, faster."""
+    n, d = x.shape
+    diff = np.empty((hi - lo, n, d))
+    for k in range(d):
+        np.subtract(x[lo:hi, None, k], x[None, :, k], out=diff[:, :, k])
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _rank_rows(sq: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Ranks of rows of squared distances whose self entries sit at ``cols``:
+    a stable argsort of each row, then the self-rank correction."""
     order = np.argsort(sq, axis=1, kind="stable")
-    rows = np.arange(hi - lo)
-    cols = np.arange(lo, hi)
-    pos = np.empty((hi - lo, n), dtype=np.int64)
-    pos[rows[:, None], order] = np.arange(n)[None, :]
+    rows = np.arange(sq.shape[0])
+    pos = np.empty(sq.shape, dtype=np.int64)
+    pos[rows[:, None], order] = np.arange(sq.shape[1])[None, :]
     self_pos = pos[rows, cols]
     ranks = pos + 1 - (pos > self_pos[:, None])
     ranks[rows, cols] = 0
@@ -55,7 +65,7 @@ def rank_matrix(points: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least two points to rank")
-    return _rank_rows(x, 0, n)
+    return _rank_rows(_sq_rows(x, 0, n), np.arange(n))
 
 
 def _max_k(n: int) -> int:
@@ -67,25 +77,58 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"K={k} outside [1, {_max_k(n)}] for n={n}")
 
 
-def _penalties(rank_ranks: np.ndarray, nn_ranks: np.ndarray, ks) -> list:
-    """Per K, the summed rank-space excess (rank - K) of each row's nn-space
-    K nearest that are not among its rank-space K nearest.
+def _excess(ranks: np.ndarray, nn: np.ndarray, ks) -> np.ndarray:
+    """Per K, the summed rank-space excess (rank - K) of the entries among
+    their row's nn-space K nearest but not its rank-space K nearest."""
+    return np.array([np.sum(ranks - k, where=(nn <= k) & (ranks > k)) for k in ks],
+                    dtype=np.int64)
+
+
+def _penalties(rank_ranks: np.ndarray, nn_ranks: np.ndarray, ks) -> np.ndarray:
+    """_excess over whole rank rows.
 
     Only entries with nn-space rank in [1, max(ks)] can count for any K, so
     those are gathered once and every K is scored from them.
     """
-    near = (nn_ranks >= 1) & (nn_ranks <= max(ks, default=0))
-    nn = nn_ranks[near]
-    ranks = rank_ranks[near]
-    return [int(np.sum(ranks - k, where=(nn <= k) & (ranks > k))) for k in ks]
+    near = (nn_ranks >= 1) & (nn_ranks <= max(ks))
+    return _excess(rank_ranks[near], nn_ranks[near], ks)
+
+
+def _sorted_penalties(rank_sq, rank_sorted, nn_sq, nn_sorted, ks) -> np.ndarray:
+    """_penalties of tie-free rows, from their squared distances and the
+    same rows sorted.
+
+    In a tie-free row self is the only zero, so the rank of an entry is the
+    number of smaller entries in its sorted row (``searchsorted``), and the
+    nn-space max(ks) nearest are exactly the entries in
+    (0, nn_sorted[max(ks)]]; their nn-space ranks are 1..max(ks) in the
+    order of their values.
+    """
+    kmax = max(ks)
+    near = (nn_sq > 0.0) & (nn_sq <= nn_sorted[:, kmax, None])
+    order = np.argsort(nn_sq[near].reshape(-1, kmax), axis=1)
+    nn = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(nn, order, np.arange(1, kmax + 1), axis=1)
+    ranks = np.array([np.searchsorted(s, q) for s, q in
+                      zip(rank_sorted, rank_sq[near].reshape(-1, kmax))], dtype=np.int64)
+    return _excess(ranks, nn, ks)
+
+
+def _tied(s: np.ndarray) -> np.ndarray:
+    """Rows of the row-sorted s that hold two equal values or a NaN."""
+    return np.any(s[:, 1:] == s[:, :-1], axis=1) | np.isnan(s[:, -1])
 
 
 def _scores(positions: np.ndarray, chart: np.ndarray, ks) -> list:
     """(trustworthiness, continuity) for each K in ks.
 
-    Both spaces are ranked in blocks of about RANK_ENTRIES entries; the
-    penalties are exact integers summed over the blocks, so the result does
-    not depend on the block size.
+    Both spaces are scored in blocks of about RANK_ENTRIES (row, point)
+    entries.  Each block's squared distances are sorted row by row; rows
+    without ties in either space are ranked from the sorted rows, and the
+    others by a stable argsort (_rank_rows).  Both give the ranks of
+    rank_matrix, and the penalties are exact integers summed over the
+    blocks, so the result depends neither on the block size nor on which
+    rows took which path.
     """
     pos = np.asarray(positions, dtype=np.float64)
     cht = np.asarray(chart, dtype=np.float64)
@@ -94,18 +137,32 @@ def _scores(positions: np.ndarray, chart: np.ndarray, ks) -> list:
         raise ValueError("positions and chart row counts differ")
     for k in ks:
         _check_k(n, k)
-    tw_pen = [0] * len(ks)
-    ct_pen = [0] * len(ks)
+    if not ks:
+        return []
+    tw_pen = np.zeros(len(ks), dtype=np.int64)
+    ct_pen = np.zeros(len(ks), dtype=np.int64)
     step = max(1, RANK_ENTRIES // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        rank_pos = _rank_rows(pos, lo, hi)
-        rank_chart = _rank_rows(cht, lo, hi)
-        tw_pen = [a + b for a, b in zip(tw_pen, _penalties(rank_pos, rank_chart, ks))]
-        ct_pen = [a + b for a, b in zip(ct_pen, _penalties(rank_chart, rank_pos, ks))]
+        sq_pos = _sq_rows(pos, lo, hi)
+        sq_cht = _sq_rows(cht, lo, hi)
+        sorted_pos = np.sort(sq_pos, axis=1)
+        sorted_cht = np.sort(sq_cht, axis=1)
+        tied = _tied(sorted_pos) | _tied(sorted_cht)
+        free = ~tied
+        if free.any():
+            sp, op, sc, oc = sq_pos[free], sorted_pos[free], sq_cht[free], sorted_cht[free]
+            tw_pen += _sorted_penalties(sp, op, sc, oc, ks)
+            ct_pen += _sorted_penalties(sc, oc, sp, op, ks)
+        if tied.any():
+            cols = lo + np.flatnonzero(tied)
+            rank_pos = _rank_rows(sq_pos[tied], cols)
+            rank_cht = _rank_rows(sq_cht[tied], cols)
+            tw_pen += _penalties(rank_pos, rank_cht, ks)
+            ct_pen += _penalties(rank_cht, rank_pos, ks)
 
-    def score(penalty: int, k: int) -> float:
-        return 1.0 - (2.0 * penalty) / (n * k * (2 * n - 3 * k - 1))
+    def score(penalty, k: int) -> float:
+        return 1.0 - (2.0 * int(penalty)) / (n * k * (2 * n - 3 * k - 1))
 
     return [(score(t, k), score(c, k)) for t, c, k in zip(tw_pen, ct_pen, ks)]
 

@@ -104,9 +104,10 @@ def _all_pairs(g: NeighborGraph) -> np.ndarray:
 
 
 def _dijkstra(g: NeighborGraph, src: int) -> np.ndarray:
-    dist = np.full(g.n, np.inf)
+    # dist and done stay Python lists of floats and bools until the return
+    dist = [math.inf] * g.n
     dist[src] = 0.0
-    done = np.zeros(g.n, dtype=bool)
+    done = [False] * g.n
     heap = [(0.0, src)]
     while heap:
         du, u = heapq.heappop(heap)
@@ -120,7 +121,7 @@ def _dijkstra(g: NeighborGraph, src: int) -> np.ndarray:
             if cand < dist[v]:
                 dist[v] = cand
                 heapq.heappush(heap, (cand, v))
-    return dist
+    return np.array(dist)
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):

@@ -74,14 +74,18 @@ class SplitMix64:
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * _TWO_NEG53
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n draws in [0, 1), identical to n successive uniform() calls."""
+    def u64s(self, n: int) -> np.ndarray:
+        """n raw outputs as uint64, identical to n successive next_u64() calls."""
         if n < 0:
             raise ValueError("n must be >= 0")
         steps = np.arange(1, n + 1, dtype=np.uint64)
         states = np.uint64(self._state) + steps * _U64_GOLDEN
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        return (_mix_array(states) >> _U64_11).astype(np.float64) * _TWO_NEG53
+        return _mix_array(states)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """n draws in [0, 1), identical to n successive uniform() calls."""
+        return (self.u64s(n) >> _U64_11).astype(np.float64) * _TWO_NEG53
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) uniforms."""
@@ -101,11 +105,18 @@ class SplitMix64:
             raise ValueError("n must be positive")
         return self.next_u64() % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place backward Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
+    def shuffle(self, items) -> None:
+        """In-place backward Fisher-Yates of a list or 1-D array.
+
+        Every swap index j = randbelow(i + 1), i = len - 1 .. 1, comes from
+        one vector draw; the swaps then run on a Python list.
+        """
+        n = len(items)
+        js = self.u64s(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        seq = items.tolist() if isinstance(items, np.ndarray) else list(items)
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+            seq[i], seq[j] = seq[j], seq[i]
+        items[:] = seq
 
     def sample(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), partial forward Fisher-Yates."""

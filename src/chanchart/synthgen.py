@@ -99,6 +99,13 @@ class TrajectoryConfig:
             raise ValueError(f"a path of {length!r} m at {step!r} m per sample "
                              "needs more than 2^53 samples")
 
+    @property
+    def n_samples(self) -> int:
+        """floor(path_length / step) + 1, the samples generate_trajectory takes."""
+        seg = np.diff(np.asarray(self.waypoints, dtype=np.float64), axis=0)
+        total = float(np.hypot(seg[:, 0], seg[:, 1]).sum())
+        return int(math.floor(total / (self.speed / self.sample_rate) + 1e-9)) + 1
+
 
 @dataclass
 class ScattererSet:
@@ -145,7 +152,7 @@ def generate_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("degenerate path: zero total length")
     step = cfg.speed / cfg.sample_rate
-    count = int(math.floor(total / step + 1e-9)) + 1
+    count = cfg.n_samples
     arcs = np.minimum(np.arange(count) * step, total)
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     # Segment index per sample; the final sample lands on the last segment.
@@ -160,12 +167,12 @@ def generate_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     return out
 
 
-def _path_terms(sources, lengths, radio: RadioConfig, gains):
-    """Per-path channel contribution for a batch of UE positions.
+def _path_terms(sources, lengths, radio: RadioConfig, gains, out: np.ndarray) -> np.ndarray:
+    """Per-path channel contribution for a batch of UE positions, into out.
 
     sources: (n, 3) or (3,) arrival-side endpoints (UE for line of sight,
     scatterer for a bounce); lengths: (n,) total path lengths; gains: (n,)
-    amplitude factors.  Returns (n, N_r, S) complex contributions.
+    amplitude factors; out: (n, N_r, S) complex, returned.
     """
     bs = np.asarray(radio.bs_position, dtype=np.float64)
     grid = radio.antenna_grid()
@@ -176,19 +183,25 @@ def _path_terms(sources, lengths, radio: RadioConfig, gains):
     spatial = np.exp(1j * k0 * (direction @ grid.T))          # (n or 1, N_r)
     tau = lengths / SPEED_OF_LIGHT
     delay = np.exp(-2j * np.pi * np.outer(tau, freqs))        # (n, S)
-    return gains[:, None, None] * spatial[:, :, None] * delay[:, None, :]
+    return np.multiply(gains[:, None, None] * spatial[:, :, None], delay[:, None, :], out=out)
 
 
 def _synthesize_block(positions_3d: np.ndarray, radio: RadioConfig,
-                      scatterers: ScattererSet, index_base: int) -> np.ndarray:
+                      scatterers: ScattererSet, index_base: int, out: np.ndarray) -> None:
+    """Channel rows of a block of UE positions, written into out (n, M).
+
+    The line of sight goes straight into out and each scatterer's term is
+    added from one scratch block, in scatterer order.
+    """
     bs = np.asarray(radio.bs_position, dtype=np.float64)
     n = positions_3d.shape[0]
-    los_len = np.linalg.norm(positions_3d
-                             - bs, axis=1)
+    acc = out.reshape(n, radio.n_antennas, radio.n_subcarriers)
+    los_len = np.linalg.norm(positions_3d - bs, axis=1)
     if np.any(los_len == 0.0):
         bad = index_base + int(np.argmin(los_len))
         raise ValueError(f"zero-length line-of-sight path at sample {bad}")
-    acc = _path_terms(positions_3d, los_len, radio, 1.0 / los_len)
+    _path_terms(positions_3d, los_len, radio, 1.0 / los_len, out=acc)
+    term = np.empty_like(acc)
     for point, gain in zip(scatterers.points, scatterers.gains):
         p = np.asarray(point, dtype=np.float64)
         leg_ue = np.linalg.norm(positions_3d - p, axis=1)
@@ -199,8 +212,7 @@ def _synthesize_block(positions_3d: np.ndarray, radio: RadioConfig,
             bad = index_base + int(np.argmin(leg_ue))
             raise ValueError(f"scatterer coincides with sample {bad}")
         total = leg_ue + leg_bs
-        acc += _path_terms(p, total, radio, gain / total)
-    return acc.reshape(n, radio.m)
+        acc += _path_terms(p, total, radio, gain / total, out=term)
 
 
 def channel_vector(position, radio: RadioConfig, scatterers: ScattererSet) -> np.ndarray:
@@ -208,7 +220,9 @@ def channel_vector(position, radio: RadioConfig, scatterers: ScattererSet) -> np
     p = np.asarray(position, dtype=np.float64)
     if p.shape == (2,):
         p = np.append(p, 0.0)
-    return _synthesize_block(p[None, :], radio, scatterers, 0)[0]
+    out = np.empty((1, radio.m), dtype=np.complex128)
+    _synthesize_block(p[None, :], radio, scatterers, 0, out)
+    return out[0]
 
 
 def synthesize_channels(track, radio: RadioConfig, scatterers: ScattererSet,
@@ -224,7 +238,7 @@ def synthesize_channels(track, radio: RadioConfig, scatterers: ScattererSet,
     rows = np.empty((positions.shape[0], radio.m), dtype=np.complex128)
     for start in range(0, positions.shape[0], block):
         stop = min(start + block, positions.shape[0])
-        rows[start:stop] = _synthesize_block(pos3[start:stop], radio, scatterers, start)
+        _synthesize_block(pos3[start:stop], radio, scatterers, start, rows[start:stop])
     return ChannelSet(channels=rows, positions=positions, sample_rate=sample_rate)
 
 

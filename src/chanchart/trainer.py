@@ -95,7 +95,7 @@ class TrainReport:
 def split_dataset(n: int, ratio: float, seed: int):
     """Seeded disjoint train/eval index split; both halves sorted ascending.
 
-    Train size is round(ratio * n) (half away from zero).  Sorting keeps
+    The training half holds train_size(n, ratio) samples.  Sorting keeps
     sampling-time order inside each subset so temporal mining windows stay
     meaningful on the train positions.
     """
@@ -105,9 +105,14 @@ def split_dataset(n: int, ratio: float, seed: int):
         raise ValueError("ratio must be in (0, 1)")
     perm = np.arange(n)
     SplitMix64(seed).shuffle(perm)
-    n_train = int(np.floor(ratio * n + 0.5))
-    n_train = min(max(n_train, 1), n - 1)
+    n_train = train_size(n, ratio)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
+def train_size(n: int, ratio: float) -> int:
+    """Samples in split_dataset's training half: round(ratio * n), half up,
+    clipped to [1, n - 1]."""
+    return min(max(math.floor(ratio * n + 0.5), 1), n - 1)
 
 
 def adam_step(state: OptimizerState, params: list, grads: list, cfg: TrainConfig) -> None:

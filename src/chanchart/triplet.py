@@ -60,32 +60,29 @@ def mine_triplets(n: int, cfg: MiningConfig) -> list[TripletIndex]:
     candidates are [i-S_f, i-S_c-1] and [i+S_c+1, i+S_f] clipped likewise.
     Draw order is fixed (anchors ascending, then repeats, close before far)
     so the output is a pure function of (n, cfg).  Anchors whose far set is
-    empty after clipping are skipped entirely and consume no draws.
+    empty after clipping are skipped entirely and consume no draws.  Each
+    draw is ``randbelow`` of its candidate count; all of them come from one
+    vector of raw outputs.
     """
-    s_c = cfg.s_close
-    s_f = cfg.s_far
-    rng = SplitMix64(cfg.seed)
-    out: list[TripletIndex] = []
-    for i in range(n):
-        lo_far_l = max(0, i - s_f)
-        n_left = max(0, (i - s_c - 1) - lo_far_l + 1)
-        lo_far_r = i + s_c + 1
-        n_right = max(0, min(n - 1, i + s_f) - lo_far_r + 1)
-        n_far = n_left + n_right
-        if n_far == 0:
-            continue
-        lo_close = max(0, i - s_c)
-        n_close = min(n - 1, i + s_c) - lo_close  # window size minus the anchor itself
-        if n_close <= 0:
-            raise ValueError("empty close window: need n >= 2 and S_c >= 1")
-        for _ in range(cfg.per_anchor):
-            j = lo_close + rng.randbelow(n_close)
-            if j >= i:
-                j += 1
-            r = rng.randbelow(n_far)
-            k = lo_far_l + r if r < n_left else lo_far_r + (r - n_left)
-            out.append(TripletIndex(i, j, k))
-    return out
+    s_c = min(cfg.s_close, n)  # a window past n clips to the same candidates
+    s_f = min(cfg.s_far, n)
+    i = np.arange(n, dtype=np.int64)
+    lo_far_l = np.maximum(0, i - s_f)
+    n_left = np.maximum(0, (i - s_c - 1) - lo_far_l + 1)
+    lo_far_r = i + s_c + 1
+    n_right = np.maximum(0, np.minimum(n - 1, i + s_f) - lo_far_r + 1)
+    lo_close = np.maximum(0, i - s_c)
+    n_close = np.minimum(n - 1, i + s_c) - lo_close  # window size minus the anchor itself
+    kept = np.flatnonzero(n_left + n_right > 0)
+    if np.any(n_close[kept] <= 0):
+        raise ValueError("empty close window: need n >= 2 and S_c >= 1")
+    a = np.repeat(kept, cfg.per_anchor)
+    draws = SplitMix64(cfg.seed).u64s(2 * a.size)
+    j = lo_close[a] + (draws[0::2] % n_close[a].astype(np.uint64)).astype(np.int64)
+    j += j >= a
+    r = (draws[1::2] % (n_left[a] + n_right[a]).astype(np.uint64)).astype(np.int64)
+    k = np.where(r < n_left[a], lo_far_l[a] + r, lo_far_r[a] + (r - n_left[a]))
+    return list(map(TripletIndex, a.tolist(), j.tolist(), k.tolist()))
 
 
 def _row(*vectors):

@@ -13,6 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from chanchart.encoder import DegenerateInputError
+from chanchart.rng import SplitMix64
+from chanchart.synthgen import SPEED_OF_LIGHT
+from chanchart.triplet import TripletIndex
 
 
 def procrustes_residual(reference: np.ndarray, embedding: np.ndarray) -> float:
@@ -425,7 +428,81 @@ def bridged_geodesics_oracle(g, dist: np.ndarray) -> np.ndarray:
         g.adjacency[i].sort()
         g.adjacency[j].sort()
         labels = _dfs_components(g.adjacency)
+    return all_pairs_oracle(g)
+
+
+def all_pairs_oracle(g) -> np.ndarray:
+    """Dijkstra from every source on float64 arrays, each pair kept from its
+    lower source; this was the package's ``_all_pairs``."""
     out = np.zeros((g.n, g.n))
     for src in range(g.n):
         out[src, src + 1:] = _heap_dijkstra(g.adjacency, src)[src + 1:]
     return out + out.T
+
+
+def shuffle_oracle(rng, items) -> None:
+    """Backward Fisher-Yates with one ``randbelow`` call per swap; this was
+    ``SplitMix64.shuffle``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def mine_triplets_oracle(n: int, cfg) -> list:
+    """Triplet mining one anchor and one ``randbelow`` draw at a time; this
+    was the package's ``mine_triplets``."""
+    s_c = cfg.s_close
+    s_f = cfg.s_far
+    rng = SplitMix64(cfg.seed)
+    out = []
+    for i in range(n):
+        lo_far_l = max(0, i - s_f)
+        n_left = max(0, (i - s_c - 1) - lo_far_l + 1)
+        lo_far_r = i + s_c + 1
+        n_right = max(0, min(n - 1, i + s_f) - lo_far_r + 1)
+        n_far = n_left + n_right
+        if n_far == 0:
+            continue
+        lo_close = max(0, i - s_c)
+        n_close = min(n - 1, i + s_c) - lo_close
+        if n_close <= 0:
+            raise ValueError("empty close window: need n >= 2 and S_c >= 1")
+        for _ in range(cfg.per_anchor):
+            j = lo_close + rng.randbelow(n_close)
+            if j >= i:
+                j += 1
+            r = rng.randbelow(n_far)
+            k = lo_far_l + r if r < n_left else lo_far_r + (r - n_left)
+            out.append(TripletIndex(i, j, k))
+    return out
+
+
+def _path_terms_oracle(sources, lengths, radio, gains):
+    bs = np.asarray(radio.bs_position, dtype=np.float64)
+    direction = np.atleast_2d(sources) - bs
+    direction = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
+    k0 = 2.0 * np.pi / radio.wavelength
+    spatial = np.exp(1j * k0 * (direction @ radio.antenna_grid().T))
+    tau = lengths / SPEED_OF_LIGHT
+    delay = np.exp(-2j * np.pi * np.outer(tau, radio.subcarrier_frequencies()))
+    return gains[:, None, None] * spatial[:, :, None] * delay[:, None, :]
+
+
+def synthesize_oracle(track, radio, scatterers, block: int) -> np.ndarray:
+    """Channel rows with a fresh array per path term and per block, summed in
+    the same path order; this was ``synthesize_channels``."""
+    pos3 = np.asarray(track, dtype=np.float64)
+    if pos3.shape[1] == 2:
+        pos3 = np.concatenate([pos3, np.zeros((pos3.shape[0], 1))], axis=1)
+    bs = np.asarray(radio.bs_position, dtype=np.float64)
+    rows = np.empty((pos3.shape[0], radio.m), dtype=np.complex128)
+    for start in range(0, pos3.shape[0], block):
+        x = pos3[start:start + block]
+        los_len = np.linalg.norm(x - bs, axis=1)
+        acc = _path_terms_oracle(x, los_len, radio, 1.0 / los_len)
+        for point, gain in zip(scatterers.points, scatterers.gains):
+            p = np.asarray(point, dtype=np.float64)
+            total = np.linalg.norm(x - p, axis=1) + float(np.linalg.norm(p - bs))
+            acc += _path_terms_oracle(p, total, radio, gain / total)
+        rows[start:start + block] = acc.reshape(x.shape[0], radio.m)
+    return rows

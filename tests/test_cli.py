@@ -2,13 +2,16 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import pytest
 
 from chanchart import encoder, fileio
 from chanchart.cli import main
-from chanchart.config import derive_seeds, preset
+from chanchart.config import ExperimentConfig, derive_seeds, preset
 from chanchart.rng import SplitMix64
+from chanchart.trainer import train_size
+from chanchart.triplet import mine_triplets
 
 
 def _small_doc(n_subcarriers=4, n_init=12, k=3, d_out=2, init="random"):
@@ -342,6 +345,30 @@ def test_mining_windows_without_triplets_exit_2_at_parse(tmp_path, capsys):
     # at tiny's 0.70 samples/s both windows round to 0 samples
     detail = _parse_error(tmp_path, capsys, _tiny_doc(mining={"t_close": 0.01, "t_far": 0.02}))
     assert detail.startswith("mining.t_close/t_far: at 0.6968484242121059 samples/s")
+
+
+@pytest.mark.parametrize("scenario", ["tiny", "explicit"])
+def test_mining_windows_wider_than_the_training_split_exit_2_at_parse(tmp_path, capsys,
+                                                                      scenario):
+    doc = preset("tiny").to_dict() if scenario == "tiny" else _small_doc()
+    cfg = ExperimentConfig.from_dict(doc)
+    n = cfg.scenario.get("n_samples") or cfg.scenario_objects()[0].n_samples
+    n_train = train_size(n, cfg.training.split_ratio)
+    # S_close = n_train - 2 leaves anchor 0 one far candidate, n_train - 1
+    for s_close, code in ((n_train - 2, 0), (n_train - 1, 2)):
+        mining = replace(cfg.mining, t_close=s_close / cfg.sample_rate(), t_far=1000.0)
+        assert mining.s_close == s_close
+        assert bool(mine_triplets(n_train, mining)) == (code == 0)
+        doc["mining"].update(t_close=mining.t_close, t_far=mining.t_far)
+        capsys.readouterr()
+        assert main(["show-config", "--config", _write_doc(tmp_path, doc)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "config",
+        "detail": f"mining.t_close: S_close = {n_train - 1} samples needs a training "
+                  f"split of at least {n_train + 1} samples, and the scenario's "
+                  f"split holds {n_train}"}
 
 
 def test_config_and_preset_are_mutually_exclusive(tmp_path, capsys):

@@ -23,7 +23,9 @@ from chanchart.triplet import MiningConfig
 
 
 def _minimal_doc(**overrides):
-    doc = {"scenario": {"kind": "loop", "n_samples": 50}}
+    # the smallest loop whose 70% training split (702 samples) spans the
+    # default 100 s close window at 7 samples/s (700 samples) plus two
+    doc = {"scenario": {"kind": "loop", "n_samples": 1003}}
     doc.update(overrides)
     return doc
 
@@ -57,8 +59,8 @@ def test_with_seed_root_rederives_only_seeds():
 
 def test_minimal_document_gets_defaults():
     cfg = ExperimentConfig.from_dict(_minimal_doc())
-    assert cfg.scenario == {"kind": "loop", "n_samples": 50,
-                            "geometry_samples": 50, "jitter_sigma": 0.05}
+    assert cfg.scenario == {"kind": "loop", "n_samples": 1003,
+                            "geometry_samples": 1003, "jitter_sigma": 0.05}
     assert cfg.encoder.n_init == 100 and cfg.encoder.init == "smart"
     assert cfg.mining.t_close == 100.0 and cfg.mining.per_anchor == 1
     assert cfg.training.epochs == 30 and cfg.training.split_ratio == 0.7
@@ -195,7 +197,7 @@ def test_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_minimal_doc()), encoding="utf-8")
     cfg = ExperimentConfig.from_file(str(path))
-    assert cfg.scenario["n_samples"] == 50
+    assert cfg.scenario["n_samples"] == 1003
 
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="JSON"):
@@ -297,6 +299,7 @@ def test_explicit_scenario_round_trip():
                       "bs_position": [1.0, 1.0, 5.0]},
             "scatterers": {"points": [[4.0, 9.0, 3.0]], "gains": [0.5]},
         },
+        "mining": {"t_close": 2.0, "t_far": 4.0},
     }
     cfg = ExperimentConfig.from_dict(doc)
     traj, radio, scat, n = cfg.scenario_objects()

@@ -1,5 +1,6 @@
 """Neighborhood-rank metrics: trustworthiness, continuity, evaluate()."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,91 @@ def test_evaluate_rows_equal_full_matrix_reference(model):
     chart, ok = chart_batch(model, cs.channels)
     assert ok.all()
     assert report.rows == full_matrix_rows(cs.positions, chart, DEFAULT_K_GRID)
+
+
+def _scores_rows(pos, chart, k_grid=DEFAULT_K_GRID):
+    """_scores in full_matrix_rows' (K, K_frac, TW, CT) row layout."""
+    n = pos.shape[0]
+    ks = [max(1, int(math.floor(frac * n + 0.5))) for frac in k_grid]
+    scores = evalmetrics._scores(pos, chart, ks)
+    return [(k, float(frac), tw, ct) for k, frac, (tw, ct) in zip(ks, k_grid, scores)]
+
+
+def _count_fallback_rows(monkeypatch) -> list:
+    """Record the row count of every _rank_rows call; a fallback row is
+    ranked once in each space."""
+    calls, rank_rows = [], evalmetrics._rank_rows
+
+    def counted(sq, cols):
+        calls.append(sq.shape[0])
+        return rank_rows(sq, cols)
+
+    monkeypatch.setattr(evalmetrics, "_rank_rows", counted)
+    return calls
+
+
+def _tie_free(seed: int, n: int, d: int) -> np.ndarray:
+    return SplitMix64(seed).uniforms(n * d).reshape(n, d)
+
+
+def test_tie_free_points_never_take_the_argsort_path(monkeypatch):
+    def refuse(sq, cols):
+        raise AssertionError("_rank_rows called on tie-free input")
+
+    monkeypatch.setattr(evalmetrics, "_rank_rows", refuse)
+    pos, chart = _tie_free(30, 400, 2), _tie_free(31, 400, 2)
+    assert _scores_rows(pos, chart)[0][2] < 1.0
+    cs = _position_channelset(300)
+    evaluate(_position_reader, cs, np.arange(300))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sorted_rows_equal_full_matrix_reference_on_tie_free_points(monkeypatch, d):
+    calls = _count_fallback_rows(monkeypatch)
+    for seed in range(3):
+        pos, chart = _tie_free(40 + seed, 350, d), _tie_free(50 + seed, 350, 2)
+        assert _scores_rows(pos, chart) == full_matrix_rows(pos, chart, DEFAULT_K_GRID)
+    assert calls == []
+
+
+def test_grid_rows_all_fall_back_and_equal_full_matrix_reference(monkeypatch):
+    calls = _count_fallback_rows(monkeypatch)
+    pos = np.stack(np.meshgrid(np.arange(25.0), np.arange(25.0)), axis=-1).reshape(-1, 2)
+    chart = pos[:, ::-1] * 0.5 + _tie_free(60, 625, 2) * 1e-3
+    assert _scores_rows(pos, chart) == full_matrix_rows(pos, chart, DEFAULT_K_GRID)
+    assert sum(calls) == 2 * 625
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_quantized_duplicate_and_nan_charts_equal_full_matrix_reference(d):
+    pos = _tie_free(70, 500, d) * 10.0
+    quantized = np.round(pos[:, :2] / 1.5) * 1.5
+    assert _scores_rows(pos, quantized) == full_matrix_rows(pos, quantized, DEFAULT_K_GRID)
+    duplicated = pos.copy()
+    duplicated[1::7] = duplicated[0::7][: duplicated[1::7].shape[0]]
+    assert _scores_rows(duplicated, pos) == full_matrix_rows(duplicated, pos, DEFAULT_K_GRID)
+    # a NaN sorts last and ties with nothing, so only the NaN check sends rows back
+    nan_chart = pos[:, :2].copy()
+    nan_chart[5, 0] = np.nan
+    assert _scores_rows(pos, nan_chart) == full_matrix_rows(pos, nan_chart, DEFAULT_K_GRID)
+
+
+def test_blocks_mixing_sorted_and_fallback_rows_equal_full_matrix_reference(monkeypatch):
+    # integer points tie only where a point is placed as the mirror image of
+    # another through a third: that third's row holds one tie, the rest none
+    monkeypatch.setattr(evalmetrics, "RANK_ENTRIES", 5 * 240)
+    calls = _count_fallback_rows(monkeypatch)
+    pos = np.floor(_tie_free(80, 240, 2) * 1e6)
+    for centre in range(0, 240, 9):
+        pos[centre + 1] = 2.0 * pos[centre] - pos[centre + 2]
+    chart = np.floor(_tie_free(81, 240, 2) * 1e6)
+    assert _scores_rows(pos, chart) == full_matrix_rows(pos, chart, DEFAULT_K_GRID)
+    assert 0 < sum(calls) < 2 * 240 and max(calls) < 5
+    cs = ChannelSet(channels=chart.astype(np.complex128), positions=pos, sample_rate=1.0)
+    calls.clear()
+    report = evaluate(_position_reader, cs, np.arange(240))
+    assert report.rows == full_matrix_rows(pos, chart, DEFAULT_K_GRID)
+    assert 0 < sum(calls) < 2 * 240
 
 
 def test_evaluate_memory_is_bounded():

@@ -8,6 +8,7 @@ import pytest
 
 from chanchart.config import preset
 from chanchart.isomap import (
+    _all_pairs,
     classical_mds,
     geodesic_distances,
     isomap,
@@ -17,7 +18,12 @@ from chanchart.isomap import (
 from chanchart.metricspace import distance_matrix
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import generate_trajectory, synthesize_channels
-from helpers import bridged_geodesics_oracle, floyd_warshall, procrustes_residual
+from helpers import (
+    all_pairs_oracle,
+    bridged_geodesics_oracle,
+    floyd_warshall,
+    procrustes_residual,
+)
 
 
 def _euclidean(points: np.ndarray) -> np.ndarray:
@@ -131,6 +137,15 @@ def test_bridging_matches_depth_first_oracle():
         assert g.adjacency == ref.adjacency, seed
         assert np.isfinite(got).all()
     assert disconnected >= 40 and most >= 10
+
+
+def test_all_pairs_matches_heap_dijkstra_oracle():
+    # connected and disconnected graphs (unreachable pairs stay inf)
+    for seed in range(8):
+        pts = _random_points(seed, 30 + 20 * seed, 3)
+        pts[: pts.shape[0] // 2] += 50.0 * (seed % 2)
+        g = knn_graph(_euclidean(pts), 1 + seed % 4)
+        assert np.array_equal(_all_pairs(g), all_pairs_oracle(g)), seed
 
 
 def _dense(g) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Deterministic PRNG: known-answer vectors, distribution sanity, substreams."""
 
 import numpy as np
+import pytest
 
 from chanchart.rng import SplitMix64, substream
+from helpers import shuffle_oracle
 
 # First four raw outputs of the reference algorithm, derived with an
 # independent transcription of the published constants.
@@ -85,6 +87,35 @@ def test_shuffle_deterministic():
     SplitMix64(123).shuffle(a)
     SplitMix64(123).shuffle(b)
     assert np.array_equal(a, b)
+
+
+def test_u64s_match_scalar_outputs():
+    for seed in (0, 2**64 - 1):
+        scalar, vector = SplitMix64(seed), SplitMix64(seed)
+        expected = [scalar.next_u64() for _ in range(33)]
+        got = vector.u64s(33)
+        assert got.dtype == np.uint64 and got.tolist() == expected
+        assert vector.u64s(0).size == 0
+        assert scalar.next_u64() == vector.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5910])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("kind", ["list", "int64"])
+def test_shuffle_matches_scalar_oracle(n, seed, kind):
+    def fresh():
+        return list(range(n)) if kind == "list" else np.arange(n, dtype=np.int64)
+
+    got, want = fresh(), fresh()
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    rng.shuffle(got)
+    shuffle_oracle(ref, want)
+    assert type(got) is type(want)
+    assert list(got) == list(want)
+    if kind == "int64":
+        assert got.dtype == np.int64
+    # the generator ends where the scalar draws leave it
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_sample_is_sorted_unique_subset():

@@ -19,6 +19,7 @@ from chanchart.synthgen import (
     loop_scenario,
     synthesize_channels,
 )
+from helpers import synthesize_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,23 @@ def test_synthesize_channels_matches_per_row_route():
         row = channel_vector(track[i], radio, scat)
         # batched and single-row matmuls may differ by an ulp
         assert np.max(np.abs(cs.channels[i] - row)) < 1e-14
+
+
+@pytest.mark.parametrize("block", [1, 7, 512])
+def test_synthesize_channels_is_byte_identical_to_allocating_oracle(block):
+    # full-size radio and the stock scatterers; 600 rows are no multiple of the block
+    traj, radio, scat = loop_scenario(600, seed=4)
+    track = generate_trajectory(traj)
+    got = synthesize_channels(track, radio, scat, block=block).channels
+    assert got.tobytes() == synthesize_oracle(track, radio, scat, block).tobytes()
+
+
+def test_trajectory_n_samples_is_the_generated_count():
+    for waypoints, speed, rate in (([[0.0, 0.0], [10.0, 0.0]], 1.0, 1.0),
+                                   ([[0.0, 0.0], [3.0, 4.0], [3.0, 0.0]], 1.4, 7.0),
+                                   ([[0.0, 0.0], [0.5, 0.0]], 1.0, 1.0)):
+        cfg = TrajectoryConfig(waypoints=waypoints, speed=speed, sample_rate=rate)
+        assert cfg.n_samples == generate_trajectory(cfg).shape[0]
 
 
 def test_channels_vary_smoothly_with_position():

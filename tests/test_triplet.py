@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from chanchart.config import preset
 from chanchart.rng import SplitMix64
 from chanchart.triplet import (
     MiningConfig,
+    TripletIndex,
     mine_triplets,
     triplet_loss,
     triplet_loss_batch,
@@ -16,6 +18,7 @@ from chanchart.triplet import (
 )
 from helpers import (
     central_difference,
+    mine_triplets_oracle,
     relative_error,
     triplet_loss_grad_oracle,
     triplet_loss_oracle,
@@ -106,6 +109,38 @@ def test_empty_close_window_raises():
     cfg = MiningConfig(t_close=0.1, t_far=5.0, sample_rate=1.0)  # S_c = 0
     with pytest.raises(ValueError):
         mine_triplets(10, cfg)
+
+
+def _mined(n, cfg):
+    try:
+        return mine_triplets(n, cfg)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("name", ["tiny", "desk", "default"])
+def test_mining_matches_scalar_oracle_on_presets(name):
+    for root in (1, 2, 3):
+        cfg = preset(name).with_seed_root(root)
+        mining = cfg.mining_config(cfg.sample_rate())
+        for n in (7, 50, 140, cfg.scenario["n_samples"]):
+            got = mine_triplets(n, mining)
+            assert got == mine_triplets_oracle(n, mining), (name, root, n)
+            assert all(type(t) is TripletIndex and all(type(x) is int for x in t)
+                       for t in got)
+
+
+def test_mining_matches_scalar_oracle_at_the_edges():
+    # windows past n, an astronomically wide far window, S_c = 0 (the error path)
+    for t_close, t_far, per_anchor in ((1.0, 3.0, 3), (5.0, 1e300, 2), (1e10, 2e10, 1),
+                                       (0.4, 2.0, 1), (0.01, 0.02, 1)):
+        cfg = _cfg(t_close=t_close, t_far=t_far, per_anchor=per_anchor, seed=2**64 - 1)
+        for n in (0, 1, 2, 3, 10, 100):
+            try:
+                want = mine_triplets_oracle(n, cfg)
+            except ValueError as exc:
+                want = ("ValueError", str(exc))
+            assert _mined(n, cfg) == want, (t_close, t_far, n)
 
 
 # ---------------------------------------------------------------------------
