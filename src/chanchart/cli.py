@@ -35,17 +35,24 @@ class DimensionError(ValueError):
     """Config, dataset, and model dimensions disagree."""
 
 
-def _load(cfg: ExperimentConfig, data_path: str, model_path: str):
-    """The dataset and model files, checked to agree on the channel length M."""
-    cs = fileio.read_dataset(data_path, sample_rate=cfg.sample_rate())
-    model = fileio.read_model(model_path)
-    m = cs.channels.shape[1]
+def _check_m(model, m: int) -> None:
     if model.m != m:
         raise DimensionError(f"model expects M={model.m} channel entries, dataset has M={m}")
-    return cs, model
 
 
-def _eval_indices(cfg: ExperimentConfig, n: int):
+def _read_rows(cfg: ExperimentConfig, data_path: str, model, pick):
+    """The dataset rows pick(N) chooses, once the header shows the model's M fits it.
+
+    The M check runs before any channel row is read; every row is still
+    read and checked for non-finite values.
+    """
+    def rows(n: int, m: int):
+        _check_m(model, m)
+        return pick(n)
+    return fileio.read_dataset(data_path, sample_rate=cfg.sample_rate(), rows=rows)
+
+
+def _split(cfg: ExperimentConfig, n: int):
     """The train/held-out index split implied by the training seed."""
     return split_dataset(n, cfg.training.split_ratio, substream(cfg.seeds["training"], 0))
 
@@ -54,22 +61,24 @@ def _eval_indices(cfg: ExperimentConfig, n: int):
 # verbs
 
 
-def _synthesize(cfg: ExperimentConfig):
-    """The scenario's channel set, checked against its expected sample count."""
+def _scenario(cfg: ExperimentConfig):
+    """The scenario's track, radio, scatterers and sampling rate; the track is
+    checked against the expected sample count."""
     traj, radio, scat, n_expect = cfg.scenario_objects()
     track = synthgen.generate_trajectory(traj)
-    cs = synthgen.synthesize_channels(track, radio, scat, sample_rate=traj.sample_rate)
-    if n_expect is not None and cs.channels.shape[0] != n_expect:
-        raise DimensionError(f"scenario produced {cs.channels.shape[0]} samples, "
+    if n_expect is not None and track.shape[0] != n_expect:
+        raise DimensionError(f"scenario produced {track.shape[0]} samples, "
                              f"expected {n_expect}")
-    return cs
+    return track, radio, scat, traj.sample_rate
 
 
 def cmd_generate(cfg: ExperimentConfig, out_path: str) -> int:
-    cs = _synthesize(cfg)
-    fileio.write_dataset(out_path, cs)
-    n, m = cs.channels.shape
-    print(f"generate: wrote {out_path} with N={n} samples, M={m} channel entries")
+    # each 512-row synthesis block is written as it is computed
+    track, radio, scat, _ = _scenario(cfg)
+    fileio.write_dataset_blocks(out_path, track, radio.m,
+                                synthgen.channel_blocks(track, radio, scat))
+    print(f"generate: wrote {out_path} with N={track.shape[0]} samples, "
+          f"M={radio.m} channel entries")
     return 0
 
 
@@ -93,20 +102,30 @@ def _check_encoder_fits(cfg: ExperimentConfig, n: int, smart: bool) -> None:
 
 
 def cmd_init(cfg: ExperimentConfig, data_path: str, out_path: str) -> int:
-    cs = fileio.read_dataset(data_path, sample_rate=cfg.sample_rate())
-    _check_encoder_fits(cfg, cs.channels.shape[0], cfg.encoder.init == "smart")
-    model = _init_model(cfg, cs, cfg.encoder.init)
+    # a smart init reads only its dictionary atoms, the others no channel row
+    e, smart = cfg.encoder, cfg.encoder.init == "smart"
+
+    def rows(n: int, m: int):
+        _check_encoder_fits(cfg, n, smart)
+        return encoder.smart_atoms(n, e.n_init, cfg.seeds["init"]) if smart else []
+    cs = fileio.read_dataset(data_path, sample_rate=cfg.sample_rate(), rows=rows)
+    if smart:
+        model = encoder.init_from_atoms(cs.channels, e.k_iso, e.k, e.d_out)
+    else:
+        model = _init_model(cfg, cs, e.init)
     fileio.write_model(out_path, model)
-    print(f"init: wrote {out_path} ({cfg.encoder.init} init, "
+    print(f"init: wrote {out_path} ({e.init} init, "
           f"{encoder.count_params(model)} parameters)")
     return 0
 
 
 def cmd_train(cfg: ExperimentConfig, data_path: str, model_in: str,
               model_out: str, loss_path: str | None) -> int:
-    cs, model = _load(cfg, data_path, model_in)
+    model = fileio.read_model(model_in)
+    cs = _read_rows(cfg, data_path, model, lambda n: _split(cfg, n)[0])
     mining = cfg.mining_config(cs.sample_rate)
-    report = train(model, cs, cfg.train_config(), mining)
+    report = train(model, cs, cfg.train_config(), mining,
+                   rows=np.arange(cs.channels.shape[0]))
     fileio.write_model(model_out, model)
     if loss_path is not None:
         fileio.write_text(loss_path, fileio.loss_csv(report.epoch_losses))
@@ -118,9 +137,10 @@ def cmd_train(cfg: ExperimentConfig, data_path: str, model_in: str,
 
 def cmd_eval(cfg: ExperimentConfig, data_path: str, model_path: str,
              out_path: str) -> int:
-    cs, model = _load(cfg, data_path, model_path)
-    _, eval_idx = _eval_indices(cfg, cs.channels.shape[0])
-    report = evalmetrics.evaluate(model, cs, eval_idx, cfg.k_grid)
+    model = fileio.read_model(model_path)
+    held_out = _read_rows(cfg, data_path, model, lambda n: _split(cfg, n)[1])
+    report = evalmetrics.evaluate(model, held_out, np.arange(held_out.channels.shape[0]),
+                                  cfg.k_grid)
     fileio.write_text(out_path, report.to_csv())
     k, frac, tw, ct = report.rows[0]
     print(f"eval: {report.n_eval} held-out samples, TW@{frac:g}={tw:.4f} "
@@ -130,12 +150,18 @@ def cmd_eval(cfg: ExperimentConfig, data_path: str, model_path: str,
 
 def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
               out_base: str) -> int:
-    cs, model = _load(cfg, data_path, model_path)
-    if model.d_out != 2:
-        raise DimensionError(f"chart export needs a 2-D chart, model has d_out={model.d_out}")
-    chart, ok = encoder.chart_batch(model, cs.channels)
+    # charts each CHART_ROWS block as it is read, as chart_batch would
+    model = fileio.read_model(model_path)
+    with fileio.DatasetReader(data_path) as data:
+        _check_m(model, data.m)
+        if model.d_out != 2:
+            raise DimensionError(f"chart export needs a 2-D chart, model has d_out={model.d_out}")
+        chart, ok = np.empty((data.n, 2)), np.empty(data.n, dtype=bool)
+        for lo, block in data.blocks(encoder.CHART_ROWS):
+            hi = lo + block.shape[0]
+            chart[lo:hi], ok[lo:hi] = encoder.chart_batch(model, block)
     csv_path, svg_path = out_base + ".csv", out_base + ".svg"
-    fileio.write_text(csv_path, fileio.chart_csv(chart, np.asarray(cs.positions)))
+    fileio.write_text(csv_path, fileio.chart_csv(chart, data.positions))
     fileio.write_text(svg_path, fileio.chart_svg(chart))
     skipped = int(chart.shape[0] - np.count_nonzero(ok))
     note = f" ({skipped} degenerate samples charted at origin)" if skipped else ""
@@ -145,10 +171,11 @@ def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    cs = _synthesize(cfg)
+    track, radio, scat, rate = _scenario(cfg)
+    cs = synthgen.synthesize_channels(track, radio, scat, sample_rate=rate)
     n = cs.channels.shape[0]
     _check_encoder_fits(cfg, n, smart=True)  # compare always runs the smart arm
-    _, eval_idx = _eval_indices(cfg, n)
+    _, eval_idx = _split(cfg, n)
     mining = cfg.mining_config(cs.sample_rate)
 
     lines = ["arm,phase,K,K_frac,trustworthiness,continuity"]

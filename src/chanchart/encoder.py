@@ -253,16 +253,24 @@ def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray, out=None
     return gd_re, gd_im, gz_mat
 
 
-def init_smart(cs, n_init: int, k_iso: int, k: int, d_out: int, seed: int) -> EncoderParams:
-    """Dictionary = a seeded random subset of collected channels; anchors = its Isomap chart."""
-    n = cs.channels.shape[0]
+def smart_atoms(n: int, n_init: int, seed: int) -> np.ndarray:
+    """The n_init dataset rows a smart init takes as its dictionary, in atom order."""
     if n_init > n:
         raise ValueError(f"n_init={n_init} exceeds dataset size {n}")
-    rng = SplitMix64(seed)
-    chosen = rng.sample(n, n_init)
-    rows = cs.channels[chosen]
-    emb = isomap(distance_matrix(rows), k_iso, d_out)
-    d = rows.T
+    return SplitMix64(seed).sample(n, n_init)
+
+
+def init_smart(cs, n_init: int, k_iso: int, k: int, d_out: int, seed: int) -> EncoderParams:
+    """Dictionary = a seeded random subset of collected channels; anchors = its Isomap chart."""
+    return init_from_atoms(cs.channels[smart_atoms(cs.channels.shape[0], n_init, seed)],
+                           k_iso, k, d_out)
+
+
+def init_from_atoms(atoms: np.ndarray, k_iso: int, k: int, d_out: int) -> EncoderParams:
+    """Hybrid parameters with the (n_init, M) channel rows ``atoms`` as dictionary
+    columns and their Isomap chart as anchors."""
+    emb = isomap(distance_matrix(atoms), k_iso, d_out)
+    d = atoms.T
     return EncoderParams(
         d_re=np.ascontiguousarray(d.real),
         d_im=np.ascontiguousarray(d.imag),

@@ -22,6 +22,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -66,9 +67,8 @@ def _check_size(fh, payload: int, path: str) -> None:
                               f"(header implies {expected} bytes, file has {actual})")
 
 
-def _read_f64(fh, shape: tuple, path: str, what: str) -> np.ndarray:
-    """Read little-endian doubles straight into a new array; reject non-finite values."""
-    out = np.empty(shape, dtype="<f8")
+def _read_into(fh, out: np.ndarray, path: str, what: str) -> np.ndarray:
+    """Read little-endian doubles straight into ``out``; reject non-finite values."""
     got = fh.readinto(out)
     if got != out.nbytes:
         raise FileFormatError(f"{path}: truncated while reading {what} "
@@ -76,6 +76,10 @@ def _read_f64(fh, shape: tuple, path: str, what: str) -> np.ndarray:
     if not np.isfinite(out).all():
         raise FileFormatError(f"{path}: non-finite value in {what}")
     return out
+
+
+def _read_f64(fh, shape: tuple, path: str, what: str) -> np.ndarray:
+    return _read_into(fh, np.empty(shape, dtype="<f8"), path, what)
 
 
 def _write_f64(fh, arr: np.ndarray) -> None:
@@ -87,41 +91,118 @@ def _write_f64(fh, arr: np.ndarray) -> None:
 
 
 def write_dataset(path: str, cs: ChannelSet) -> None:
-    channels = np.ascontiguousarray(cs.channels, dtype=np.complex128)
-    positions = np.asarray(cs.positions, dtype=np.float64)
-    (n, m), p = channels.shape, positions.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_DATASET)
-        fh.write(struct.pack("<3Q", n, m, p))
-        _write_f64(fh, positions)
-        # complex128 is (re, im) pairs of doubles: its float64 view is the
-        # interleaved channel block, written without a copy
-        _write_f64(fh, channels.view(np.float64))
+    write_dataset_blocks(path, cs.positions, cs.channels.shape[1], [cs.channels])
 
 
-def read_dataset(path: str, sample_rate: float = 7.0) -> ChannelSet:
-    """Load a ``CCD1`` file.
+def write_dataset_blocks(path: str, positions, m: int, blocks) -> None:
+    """Write a ``CCD1`` file whose channel rows arrive in consecutive blocks.
 
-    The header is checked against the file length before anything is
-    allocated, and non-finite positions or channel entries are rejected, all
-    as ``FileFormatError``.  The channel doubles are read straight into one
-    ``(N, M, 2)`` buffer whose complex128 view is returned, so the channels
-    are bit-for-bit the file's doubles and C-contiguous.
+    ``blocks`` yields (rows, M) complex arrays, one row per position in
+    order, each written as it arrives.  The file is written to ``path +
+    ".tmp"`` and renamed onto ``path`` when complete, so a failure, in
+    writing or in computing a block, leaves no partial file.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    n, p = positions.shape
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC_DATASET)
+            fh.write(struct.pack("<3Q", n, m, p))
+            _write_f64(fh, positions)
+            entries = 0
+            for block in blocks:
+                # complex128 is (re, im) pairs of doubles: its float64 view
+                # is the interleaved channel block, written without a copy
+                _write_f64(fh, np.ascontiguousarray(block, dtype=np.complex128).view(np.float64))
+                entries += block.size
+        if entries != n * m:
+            raise ValueError(f"channel blocks hold {entries} entries, expected {n}x{m}")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+# read_dataset walks the channel section this many rows at a time, through
+# one reused buffer, so it holds only the rows it keeps.
+READ_ROWS = 64
+
+
+class DatasetReader:
+    """A ``CCD1`` file opened for one front-to-back walk over its channel rows.
+
+    Opening reads the header and checks it against the file length before
+    anything is allocated, then reads the positions and rejects non-finite
+    ones, all as ``FileFormatError``.  ``n``, ``m`` and ``positions`` are
+    then known, and ``blocks`` walks the channel section.  Use it as a
+    context manager.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = fh = open(path, "rb")
+        try:
+            magic = _read_exact(fh, 4, path, "magic")
+            if magic != MAGIC_DATASET:
+                raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_DATASET!r}")
+            n, m, p = _read_u64(fh, 3, path, "header")
+            if n < 1 or m < 1 or p not in (2, 3):
+                raise FileFormatError(f"{path}: implausible header N={n} M={m} P={p}")
+            _check_size(fh, 8 * n * (p + 2 * m), path)
+            self.n, self.m = n, m
+            self.positions = _read_f64(fh, (n, p), path, "positions")
+        except BaseException:
+            fh.close()
+            raise
+
+    def __enter__(self) -> "DatasetReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def blocks(self, rows: int):
+        """Yield (first row, channels) for consecutive blocks of ``rows`` channel rows.
+
+        Each block is read into one reused buffer, so it is valid only until
+        the next one is read, and a non-finite value in it raises
+        ``FileFormatError``.  The channels are complex128 views of the
+        file's doubles, bit for bit.
+        """
+        buf = np.empty((min(rows, self.n), self.m, 2), dtype="<f8")
+        for lo in range(0, self.n, rows):
+            block = _read_into(self._fh, buf[:min(rows, self.n - lo)], self.path, "channels")
+            yield lo, block.view("<c16").reshape(block.shape[0], self.m)
+
+
+def read_dataset(path: str, sample_rate: float = 7.0, rows=None) -> ChannelSet:
+    """Load a ``CCD1`` file, or the samples of it that ``rows`` chooses.
+
+    ``rows``, if given, is called with the header's N and M before any
+    channel row is read, and may refuse the file by raising; it returns the
+    sample indices to keep, in the order to return them.  Every channel row
+    is still read and checked as DatasetReader does, READ_ROWS at a time,
+    and only the kept rows are copied out: bit-for-bit the file's doubles,
+    as C-contiguous complex128.
 
     The file does not store the sampling rate (it belongs to the experiment
     config, not the measurements); pass it in when triplet mining will need
     it downstream.
     """
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != MAGIC_DATASET:
-            raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_DATASET!r}")
-        n, m, p = _read_u64(fh, 3, path, "header")
-        if n < 1 or m < 1 or p not in (2, 3):
-            raise FileFormatError(f"{path}: implausible header N={n} M={m} P={p}")
-        _check_size(fh, 8 * n * (p + 2 * m), path)
-        positions = _read_f64(fh, (n, p), path, "positions")
-        channels = _read_f64(fh, (n, m, 2), path, "channels").view("<c16").reshape(n, m)
+    with DatasetReader(path) as data:
+        keep = np.arange(data.n) if rows is None else np.asarray(rows(data.n, data.m),
+                                                                  dtype=np.int64)
+        if keep.ndim != 1 or np.any((keep < 0) | (keep >= data.n)):
+            raise ValueError(f"row choice is not a list of rows of N={data.n} samples")
+        order = np.argsort(keep, kind="stable")
+        wanted = keep[order]
+        channels = np.empty((keep.size, data.m), dtype=np.complex128)
+        for lo, block in data.blocks(READ_ROWS):
+            a, b = np.searchsorted(wanted, (lo, lo + block.shape[0]))
+            channels[order[a:b]] = block[wanted[a:b] - lo]
+        positions = data.positions[keep]
     return ChannelSet(channels=channels, positions=positions, sample_rate=sample_rate)
 
 

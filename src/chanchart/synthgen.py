@@ -89,8 +89,9 @@ class TrajectoryConfig:
             raise ValueError("speed and sample_rate must be positive")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
-        # floor(length / step) + 1 samples: refuse more than 2^53, including
-        # a length that overflows and a step that underflows to 0
+        # floor(length / step) + 1 samples must lie in [2, 2^53]; the upper
+        # check also catches a length that overflows and a step that
+        # underflows to 0
         step = self.speed / self.sample_rate
         with np.errstate(over="ignore", invalid="ignore"):
             seg = np.diff(np.asarray(self.waypoints, dtype=np.float64), axis=0)
@@ -98,6 +99,9 @@ class TrajectoryConfig:
         if not (step > 0.0 and length / step < 2.0**53):
             raise ValueError(f"a path of {length!r} m at {step!r} m per sample "
                              "needs more than 2^53 samples")
+        if self.n_samples < 2:
+            raise ValueError(f"a path of {length!r} m at {step!r} m per sample gives "
+                             f"{self.n_samples} sample, fewer than 2")
 
     @property
     def n_samples(self) -> int:
@@ -133,8 +137,6 @@ class ChannelSet:
     def __post_init__(self):
         if self.channels.shape[0] != self.positions.shape[0]:
             raise ValueError("channels and positions row counts differ")
-        if self.channels.shape[0] < 1:
-            raise ValueError("empty channel set")
 
 
 def generate_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
@@ -149,8 +151,6 @@ def generate_trajectory(cfg: TrajectoryConfig) -> np.ndarray:
     seg = np.diff(pts, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
     total = float(seg_len.sum())
-    if total <= 0.0:
-        raise ValueError("degenerate path: zero total length")
     step = cfg.speed / cfg.sample_rate
     count = cfg.n_samples
     arcs = np.minimum(np.arange(count) * step, total)
@@ -225,20 +225,40 @@ def channel_vector(position, radio: RadioConfig, scatterers: ScattererSet) -> np
     return out[0]
 
 
-def synthesize_channels(track, radio: RadioConfig, scatterers: ScattererSet,
-                        sample_rate: float = 7.0, block: int = 512) -> ChannelSet:
-    """Channel rows for every track position, in order; positions kept as given."""
+def _track_positions(track) -> np.ndarray:
     positions = np.asarray(track, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[0] < 1:
         raise ValueError("track must be a non-empty (N, 2) or (N, 3) array")
+    return positions
+
+
+def channel_blocks(track, radio: RadioConfig, scatterers: ScattererSet,
+                   block: int = 512, out=None):
+    """Yield the channel rows of consecutive blocks of track positions, in order.
+
+    Given ``out`` (N, M), each block is written into its rows of ``out`` and
+    yielded as a view of them; otherwise every block is computed in one
+    reused (block, M) buffer, valid only until the next block.
+    """
+    positions = _track_positions(track)
+    n = positions.shape[0]
     if positions.shape[1] == 2:
-        pos3 = np.concatenate([positions, np.zeros((positions.shape[0], 1))], axis=1)
-    else:
-        pos3 = positions
+        positions = np.concatenate([positions, np.zeros((n, 1))], axis=1)
+    buf = np.empty((min(block, n), radio.m), dtype=np.complex128) if out is None else None
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = buf[:stop - start] if out is None else out[start:stop]
+        _synthesize_block(positions[start:stop], radio, scatterers, start, rows)
+        yield rows
+
+
+def synthesize_channels(track, radio: RadioConfig, scatterers: ScattererSet,
+                        sample_rate: float = 7.0, block: int = 512) -> ChannelSet:
+    """Channel rows for every track position, in order; positions kept as given."""
+    positions = _track_positions(track)
     rows = np.empty((positions.shape[0], radio.m), dtype=np.complex128)
-    for start in range(0, positions.shape[0], block):
-        stop = min(start + block, positions.shape[0])
-        _synthesize_block(pos3[start:stop], radio, scatterers, start, rows[start:stop])
+    for _ in channel_blocks(positions, radio, scatterers, block, out=rows):
+        pass
     return ChannelSet(channels=rows, positions=positions, sample_rate=sample_rate)
 
 

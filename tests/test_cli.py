@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: pipeline verbs, determinism, exit codes."""
 
+import hashlib
 import json
+import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -9,8 +12,9 @@ import pytest
 from chanchart import encoder, fileio
 from chanchart.cli import main
 from chanchart.config import ExperimentConfig, derive_seeds, preset
-from chanchart.rng import SplitMix64
-from chanchart.trainer import train_size
+from chanchart.rng import SplitMix64, substream
+from chanchart.synthgen import generate_trajectory, synthesize_channels
+from chanchart.trainer import split_dataset, train_size
 from chanchart.triplet import mine_triplets
 
 
@@ -260,6 +264,8 @@ def test_non_finite_config_value_exits_2_with_one_json_line(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, detail", [
     ("speed", -1.0, "speed and sample_rate must be positive"),
     ("waypoints", [[0.0, 0.0]], "need at least two waypoints"),
+    ("waypoints", [[0.0, 0.0], [0.5, 0.0]],
+     "a path of 0.5 m at 1.0 m per sample gives 1 sample, fewer than 2"),
 ])
 @pytest.mark.parametrize("verb", ["show-config", "generate"])
 def test_trajectory_that_generate_rejects_exits_2_at_parse(tmp_path, capsys, verb, key,
@@ -379,6 +385,151 @@ def test_config_and_preset_are_mutually_exclusive(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["show-config"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# verbs that read or write only the channel rows they use
+
+
+def _line_doc(length: int, n_subcarriers: int = 4, scatterer=None):
+    """_small_doc on a straight path of ``length`` m, one sample per metre and
+    no jitter, so sample i sits at (i, 0)."""
+    doc = _small_doc(n_subcarriers=n_subcarriers)
+    doc["scenario"]["trajectory"].update(waypoints=[[0.0, 0.0], [float(length), 0.0]],
+                                         jitter_sigma=0.0)
+    if scatterer is not None:
+        doc["scenario"]["scatterers"]["points"].append(scatterer)
+        doc["scenario"]["scatterers"]["gains"].append(0.5)
+    return doc
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", ["tiny", "explicit"])
+def test_streamed_generate_writes_the_in_memory_dataset(tmp_path, capsys, scenario):
+    # the explicit path has 1,025 samples: two full 512-row synthesis blocks
+    # and a one-row block
+    if scenario == "tiny":
+        args, cfg = ["--preset", "tiny"], preset("tiny")
+    else:
+        path = _write_doc(tmp_path, _line_doc(1024))
+        args, cfg = ["--config", path], ExperimentConfig.from_file(path)
+    streamed, in_memory = tmp_path / "streamed.bin", tmp_path / "in_memory.bin"
+    assert main(["generate", *args, "--out", str(streamed)]) == 0
+    traj, radio, scat, _ = cfg.scenario_objects()
+    cs = synthesize_channels(generate_trajectory(traj), radio, scat,
+                             sample_rate=traj.sample_rate)
+    assert cs.channels.shape[0] == (200 if scenario == "tiny" else 1025)
+    fileio.write_dataset(str(in_memory), cs)
+    assert _sha256(streamed) == _sha256(in_memory)
+
+
+def test_generate_failing_in_a_late_block_leaves_no_file(tmp_path, capsys):
+    # sample 600, in the second 512-row block, sits on a scatterer
+    cfg = _write_doc(tmp_path, _line_doc(1024, scatterer=[600.0, 0.0, 0.0]))
+    out = tmp_path / "data.bin"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "config",
+                                  "detail": "scatterer coincides with sample 600"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def _nan_at(data: str, row: int, path: str) -> None:
+    """Copy the dataset ``data`` to ``path`` with one NaN in channel row ``row``."""
+    raw = bytearray(open(data, "rb").read())
+    n, m, p = struct.unpack_from("<3Q", raw, 4)
+    struct.pack_into("<d", raw, 28 + 8 * n * p + 16 * m * row + 8, math.nan)
+    open(path, "wb").write(raw)
+
+
+@pytest.mark.parametrize("verb", ["init", "train", "eval", "chart"])
+def test_nan_in_a_row_the_verb_does_not_keep_exits_4(tmp_path, capsys, verb):
+    cfg_path = _write_doc(tmp_path, _small_doc(init="smart"))
+    cfg = ExperimentConfig.from_file(cfg_path)
+    data, model = str(tmp_path / "data.bin"), str(tmp_path / "model.bin")
+    assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+    assert main(["init", "--config", cfg_path, "--data", data, "--out", model]) == 0
+    n = fileio.read_dataset(data).channels.shape[0]
+    atoms = set(encoder.smart_atoms(n, cfg.encoder.n_init, cfg.seeds["init"]).tolist())
+    train_rows, held_out = split_dataset(n, cfg.training.split_ratio,
+                                         substream(cfg.seeds["training"], 0))
+    row = {"init": min(set(range(n)) - atoms), "train": int(held_out[-1]),
+           "eval": int(train_rows[-1]), "chart": n - 1}[verb]
+    bad = str(tmp_path / "bad.bin")
+    _nan_at(data, row, bad)
+    argv = [verb, "--config", cfg_path, "--data", bad, "--out", str(tmp_path / "out")]
+    if verb != "init":
+        argv += ["--model-in" if verb == "train" else "--model", model]
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "format",
+                                  "detail": f"{bad}: non-finite value in channels"}
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "chart"])
+def test_model_of_another_m_exits_3_before_reading_any_channel(tmp_path, capsys, verb):
+    # a default-size dataset (97 MB of zero channels, sparse on disk) and an
+    # M = 16 model: the verb must stop at the header
+    n, m = 5910, 1024
+    data = tmp_path / "data.bin"
+    with open(data, "wb") as fh:
+        fh.write(fileio.MAGIC_DATASET + struct.pack("<3Q", n, m, 2))
+        fh.truncate(28 + 8 * n * (2 + 2 * m))
+    model = str(tmp_path / "model.bin")
+    fileio.write_model(model, encoder.init_random(16, 30, 5, 2, seed=1))
+    argv = [verb, "--preset", "default", "--data", str(data), "--out", str(tmp_path / "out"),
+            "--model-in" if verb == "train" else "--model", model]
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "dimension",
+        "detail": "model expects M=16 channel entries, dataset has M=1024"}
+    assert peak < 1 << 20
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "model.bin"]
+
+
+def test_generate_chart_and_eval_memory_does_not_grow_with_n(tmp_path, capsys):
+    # M = 256; at N = 6,001 the dataset is 23.5 MB, about twice every bound
+    m, data, model = 256, str(tmp_path / "data.bin"), str(tmp_path / "model.bin")
+    fileio.write_model(model, encoder.init_random(m, 12, 3, 2, seed=1))
+    block = 16 * m  # bytes per channel row
+    bounds = {"generate": 4 * 512 * block,           # synthesis blocks
+              "chart": 3 * encoder.CHART_ROWS * block,
+              "eval": 2 * encoder.CHART_ROWS * block}  # beyond the held-out rows
+    assert 6001 * block > 1.9 * max(bounds.values())
+    for length in (1500, 6000):
+        cfg = _write_doc(tmp_path, _line_doc(length, n_subcarriers=m // 4))
+        n = length + 1
+        held_out = (n - train_size(n, 0.7)) * block
+        for verb in ("generate", "chart", "eval"):
+            argv = [verb, "--config", cfg, "--out", str(tmp_path / "out")]
+            if verb == "generate":
+                argv[-1] = data
+            else:
+                argv += ["--data", data, "--model", model]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0, (verb, length)
+            held = held_out if verb == "eval" else 0
+            assert peak - held < bounds[verb], (verb, length, peak, held)
 
 
 # ---------------------------------------------------------------------------

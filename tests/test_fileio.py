@@ -8,6 +8,7 @@ import pytest
 
 from chanchart.encoder import EncoderParams, MlpParams, init_random, mlp_init
 from chanchart.fileio import (
+    READ_ROWS,
     FileFormatError,
     MAGIC_DATASET,
     MAGIC_MODEL,
@@ -18,6 +19,7 @@ from chanchart.fileio import (
     read_dataset,
     read_model,
     write_dataset,
+    write_dataset_blocks,
     write_model,
     write_text,
 )
@@ -186,6 +188,110 @@ def test_header_claiming_terabytes_is_rejected_before_allocating(tmp_path):
 
     path.write_bytes(MAGIC_MODEL + struct.pack("<5Q", 1, 2, 1 << 40, 1 << 40, 2) + bytes(64))
     _assert_rejected_without_allocating(read_model, path, "truncated")
+
+
+# ---------------------------------------------------------------------------
+# row-selective reads and block-streamed writes
+
+
+@pytest.mark.parametrize("choice", ["sorted", "unsorted", "repeated", "none", "all"])
+def test_row_selective_read_returns_exactly_the_chosen_rows(tmp_path, choice):
+    # 150 rows: two full READ_ROWS blocks and a short third one
+    n = 150
+    assert n > 2 * READ_ROWS and n % READ_ROWS
+    cs = _random_channelset(n=n, m=3, seed=4)
+    path = str(tmp_path / "d.bin")
+    write_dataset(path, cs)
+    rows = {"sorted": np.array([0, 5, 63, 64, 127, 128, 149]),
+            "unsorted": SplitMix64(9).sample(n, 40),  # smart-init atom order
+            "repeated": np.array([149, 3, 3, 64, 0, 149]),
+            "none": np.array([], dtype=np.int64),
+            "all": np.arange(n)}[choice]
+    asked = []
+
+    def choose(n_rows, m):
+        asked.append((n_rows, m))
+        return rows
+
+    back = read_dataset(path, sample_rate=3.0, rows=choose)
+    assert asked == [(n, 3)]
+    assert back.channels.dtype == np.complex128 and back.channels.flags.c_contiguous
+    assert back.channels.shape == (rows.size, 3) and back.sample_rate == 3.0
+    assert np.array_equal(back.channels.view(np.uint64), cs.channels[rows].view(np.uint64))
+    assert np.array_equal(back.positions, cs.positions[rows])
+
+
+def test_row_selective_read_still_checks_every_row(tmp_path):
+    cs = _random_channelset(n=150, m=3)
+    cs.channels[140, 1] = complex(0.5, np.nan)  # in the last block, never kept
+    path = str(tmp_path / "d.bin")
+    write_dataset(path, cs)
+    with pytest.raises(FileFormatError, match="non-finite value in channels"):
+        read_dataset(path, rows=lambda n, m: [0, 1])
+    with pytest.raises(FileFormatError, match="non-finite value in channels"):
+        read_dataset(path, rows=lambda n, m: [])
+
+
+def test_row_choice_is_checked_against_n(tmp_path):
+    path = str(tmp_path / "d.bin")
+    write_dataset(path, _random_channelset(n=7))
+    for rows in ([7], [-1], [[0, 1]]):
+        with pytest.raises(ValueError, match="N=7"):
+            read_dataset(path, rows=lambda n, m: rows)
+
+
+def test_row_choice_that_raises_stops_before_any_channel_row(tmp_path):
+    # a header claiming 2^16 rows of 2^10 entries over a sparse 1 GiB file
+    path = tmp_path / "big.bin"
+    n, m = 1 << 16, 1 << 10
+    with open(path, "wb") as fh:
+        fh.write(MAGIC_DATASET + struct.pack("<3Q", n, m, 2))
+        fh.truncate(28 + 8 * n * (2 + 2 * m))
+
+    def refuse(n_rows, m_entries):
+        raise LookupError(f"refused N={n_rows} M={m_entries}")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(LookupError, match=f"refused N={n} M={m}"):
+            read_dataset(str(path), rows=refuse)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 2 + (1 << 20)  # the positions, and no channel buffer
+
+
+def _blocks(channels, size):
+    for lo in range(0, channels.shape[0], size):
+        yield channels[lo:lo + size]
+
+
+@pytest.mark.parametrize("size", [1, 4, 7, 100])
+def test_block_writer_matches_reference_writer(tmp_path, size):
+    cs = _signed_zero_channelset()
+    path = tmp_path / "d.bin"
+    write_dataset_blocks(str(path), cs.positions, 4, _blocks(cs.channels, size))
+    assert path.read_bytes() == ccd1_bytes(cs.channels, cs.positions)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin"]
+
+
+def test_failed_block_write_leaves_no_partial_file(tmp_path):
+    cs = _random_channelset(n=10, m=3)
+    path = tmp_path / "d.bin"
+
+    def failing():
+        yield cs.channels[:4]
+        raise ValueError("block 2 failed")
+
+    with pytest.raises(ValueError, match="block 2 failed"):
+        write_dataset_blocks(str(path), cs.positions, 3, failing())
+    assert list(tmp_path.iterdir()) == []
+    # too few rows is refused too, and an existing file is left as it was
+    path.write_bytes(b"before")
+    with pytest.raises(ValueError, match="hold 12 entries, expected 10x3"):
+        write_dataset_blocks(str(path), cs.positions, 3, _blocks(cs.channels[:4], 3))
+    assert path.read_bytes() == b"before"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.bin"]
 
 
 # ---------------------------------------------------------------------------

@@ -241,9 +241,12 @@ def test_synthesize_channels_is_byte_identical_to_allocating_oracle(block):
 def test_trajectory_n_samples_is_the_generated_count():
     for waypoints, speed, rate in (([[0.0, 0.0], [10.0, 0.0]], 1.0, 1.0),
                                    ([[0.0, 0.0], [3.0, 4.0], [3.0, 0.0]], 1.4, 7.0),
-                                   ([[0.0, 0.0], [0.5, 0.0]], 1.0, 1.0)):
+                                   ([[0.0, 0.0], [1.5, 0.0]], 1.0, 1.0)):
         cfg = TrajectoryConfig(waypoints=waypoints, speed=speed, sample_rate=rate)
         assert cfg.n_samples == generate_trajectory(cfg).shape[0]
+    # a path shorter than one step would give a single sample
+    with pytest.raises(ValueError, match="gives 1 sample, fewer than 2"):
+        TrajectoryConfig(waypoints=[[0.0, 0.0], [0.5, 0.0]], speed=1.0, sample_rate=1.0)
 
 
 def test_channels_vary_smoothly_with_position():
