@@ -6,9 +6,11 @@ optional ``--seed-override R`` that re-derives all stage seeds from the root
 seed R.  Outputs are deterministic functions of (config, seeds): rerunning a
 verb with identical inputs produces byte-identical files.
 
-Exit codes: 0 success; 2 malformed config or invalid values; 3 dimension
-mismatch between config, dataset, and model; 4 I/O or file-format failure.
-On failure, the last stderr line is machine-readable JSON:
+Exit codes: 0 success; 2 malformed config or invalid values (including a
+run that cannot allocate its arrays); 3 dimension mismatch between config,
+dataset, and model; 4 I/O or file-format failure; 5 a well-formed dataset
+that the pipeline cannot compute on (zero channels, too few samples or
+triplets).  On failure, the last stderr line is machine-readable JSON:
 ``{"error": "<category>", "detail": "<message>"}``.
 """
 
@@ -23,12 +25,14 @@ import numpy as np
 
 from . import encoder, evalmetrics, fileio, synthgen
 from .config import ConfigError, ExperimentConfig, preset
+from .metricspace import DataError
 from .rng import substream
 from .trainer import split_dataset, train
 
 EXIT_CONFIG = 2
 EXIT_DIMENSION = 3
 EXIT_IO = 4
+EXIT_DATA = 5
 
 
 class DimensionError(ValueError):
@@ -301,9 +305,11 @@ def main(argv=None) -> int:
         return _fail("format", str(exc), EXIT_IO)
     except DimensionError as exc:
         return _fail("dimension", str(exc), EXIT_DIMENSION)
+    except DataError as exc:
+        return _fail("data", str(exc), EXIT_DATA)
     except OSError as exc:
         return _fail("io", str(exc), EXIT_IO)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a config sized past memory
         return _fail("config", str(exc), EXIT_CONFIG)
 
 

@@ -167,8 +167,8 @@ def forward(p: EncoderParams, h: np.ndarray):
 def backward(p: EncoderParams, cache: ForwardCache, h: np.ndarray, gz: np.ndarray):
     """Gradients of (gz . z) w.r.t. (d_re, d_im, z) for one forward pass.
 
-    A batch-of-one ``backward_batch``; ``h`` is the charted channel, whose
-    planes the cache already holds.  Gradient flows only through the kept
+    A batch-of-one ``backward_batch``; ``h`` is the charted channel, which
+    the cache already references.  Gradient flows only through the kept
     indices; the modulus subgradient at zero is zero.  Returns dense
     (m, n_init), (m, n_init), (d_out, n_init) arrays, zero outside the kept
     columns.
@@ -180,13 +180,14 @@ def backward(p: EncoderParams, cache: ForwardCache, h: np.ndarray, gz: np.ndarra
 class BatchCache:
     """Intermediates of a batched hybrid forward; rows with ok=False are degenerate.
 
-    h_re/h_im are the real and imaginary planes of the charted rows, kept
-    so that backward_batch need not split the channels again.  They are
-    contiguous copies: matmul on strided real/imag views bypasses BLAS.
+    The cache holds no plane of the channels: it keeps a reference to the
+    charted ``channels`` and the row selection ``rows`` (the index, or None
+    for every row), and backward_batch gathers the planes of the rows it
+    multiplies from them.  The channels must not change in between.
     """
 
-    h_re: np.ndarray    # (n_samples, m)
-    h_im: np.ndarray
+    channels: np.ndarray     # (n_channels, m) complex128
+    rows: np.ndarray | None  # (n_samples,) index into channels, or None: every row
     a_re: np.ndarray    # (n_samples, n_init)
     a_im: np.ndarray
     b: np.ndarray
@@ -199,17 +200,22 @@ class BatchCache:
 def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     """Batched hybrid forward over rows of `channels`; returns (z, cache).
 
-    Given ``index``, charts the rows ``channels[index]``, gathered straight
-    into the cache's real and imaginary planes.  Degenerate rows chart to
-    zero and are flagged in cache.ok instead of raising, so callers can skip
-    and count them.
+    Given ``index``, an integer array, charts the rows ``channels[index]``.
+    The rows are gathered one plane at a time, as a contiguous real array
+    (matmul on strided real/imag views bypasses BLAS): the real plane's two
+    products are formed and the plane freed before the imaginary plane is
+    gathered, so a block never holds both.  Degenerate rows chart to zero
+    and are flagged in cache.ok instead of raising, so callers can skip and
+    count them.
     """
     channels = np.asarray(channels, dtype=np.complex128)
     rows = slice(None) if index is None else index
-    h_re = np.ascontiguousarray(channels.real[rows])
-    h_im = np.ascontiguousarray(channels.imag[rows])
-    a_re = h_re @ p.d_re + h_im @ p.d_im
-    a_im = h_im @ p.d_re - h_re @ p.d_im
+    h = np.ascontiguousarray(channels.real[rows])
+    re_re, re_im = h @ p.d_re, h @ p.d_im
+    del h  # freed before the imaginary plane is gathered
+    h = np.ascontiguousarray(channels.imag[rows])
+    a_re, a_im = re_re + h @ p.d_im, h @ p.d_re - re_im
+    del h, re_re, re_im
     b = np.sqrt(a_re * a_re + a_im * a_im)
     kept_mask = _top_k_mask(b, p.k) & (b > 0.0)
     s = np.sum(np.where(kept_mask, b, 0.0), axis=1)
@@ -218,7 +224,7 @@ def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     d = np.where(kept_mask, b, 0.0) / safe_s[:, None]
     d[~ok] = 0.0
     z = d @ p.z.T
-    return z, BatchCache(h_re=h_re, h_im=h_im, a_re=a_re, a_im=a_im, b=b,
+    return z, BatchCache(channels=channels, rows=index, a_re=a_re, a_im=a_im, b=b,
                          kept_mask=kept_mask, s=s, d=d, ok=ok)
 
 
@@ -226,11 +232,13 @@ def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray, out=None
     """Batch-summed hybrid gradients (d_re, d_im, z); not-ok rows contribute nothing.
 
     Only the live rows -- ok rows whose ``gz`` row is nonzero -- enter the
-    dictionary gradients.  Every other row would add exact zeros to each of
-    their sums, so skipping it keeps the result's bits, and a degenerate or
-    non-finite row is never multiplied in.  ``gz.T @ d`` runs over all rows.
-    Given ``out``, three arrays shaped like the parameters, the gradients
-    are written into them and those arrays are returned.
+    dictionary gradients, and only their real and imaginary planes are
+    gathered from the cache's channels.  Every other row would add exact
+    zeros to each of their sums, so skipping it keeps the result's bits, and
+    a degenerate or non-finite row is never multiplied in.  ``gz.T @ d``
+    runs over all rows.  Given ``out``, three arrays shaped like the
+    parameters, the gradients are written into them and those arrays are
+    returned.
     """
     if out is None:
         out = (np.empty(p.d_re.shape), np.empty(p.d_im.shape), np.empty(p.z.shape))
@@ -245,7 +253,8 @@ def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray, out=None
     safe_b = np.where(b > 0.0, b, 1.0)
     ga_re = gc * cache.a_re[live] / safe_b
     ga_im = gc * cache.a_im[live] / safe_b
-    h_re, h_im = cache.h_re[live], cache.h_im[live]
+    rows = live if cache.rows is None else cache.rows[live]
+    h_re, h_im = cache.channels.real[rows], cache.channels.imag[rows]
     np.matmul(h_re.T, ga_re, out=gd_re)
     gd_re += h_im.T @ ga_im
     np.matmul(h_im.T, ga_re, out=gd_im)

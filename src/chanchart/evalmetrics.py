@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import chart_batch
+from .metricspace import DataError
 
 DEFAULT_K_GRID = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.10)
 
@@ -212,7 +213,7 @@ def evaluate(model, cs, indices, k_grid=DEFAULT_K_GRID) -> MetricsReport:
     positions = np.asarray(cs.positions, dtype=np.float64)[indices][ok]
     n_eval = chart.shape[0]
     if n_eval < 3:
-        raise ValueError("fewer than 3 chartable samples")
+        raise DataError("fewer than 3 chartable samples")
     ks = [max(1, int(math.floor(frac * n_eval + 0.5))) for frac in k_grid]
     scores = _scores(positions, chart, ks)
     rows = [(k, float(frac), tw, ct) for k, frac, (tw, ct) in zip(ks, k_grid, scores)]

@@ -86,6 +86,23 @@ def _write_f64(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
+@contextlib.contextmanager
+def _replacing(path: str, mode: str = "wb", **kwargs):
+    """Open ``path + ".tmp"`` for writing and rename it onto ``path`` when the
+    block completes.  If the block or the write fails, the temporary file is
+    removed, so no partial file is left and an existing ``path`` is unchanged.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # dataset
 
@@ -98,31 +115,24 @@ def write_dataset_blocks(path: str, positions, m: int, blocks) -> None:
     """Write a ``CCD1`` file whose channel rows arrive in consecutive blocks.
 
     ``blocks`` yields (rows, M) complex arrays, one row per position in
-    order, each written as it arrives.  The file is written to ``path +
-    ".tmp"`` and renamed onto ``path`` when complete, so a failure, in
-    writing or in computing a block, leaves no partial file.
+    order, each written as it arrives.  Like every writer here, it writes a
+    temporary file and renames it onto ``path`` when complete, so a failure,
+    in writing or in computing a block, leaves no partial file.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n, p = positions.shape
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC_DATASET)
-            fh.write(struct.pack("<3Q", n, m, p))
-            _write_f64(fh, positions)
-            entries = 0
-            for block in blocks:
-                # complex128 is (re, im) pairs of doubles: its float64 view
-                # is the interleaved channel block, written without a copy
-                _write_f64(fh, np.ascontiguousarray(block, dtype=np.complex128).view(np.float64))
-                entries += block.size
+    with _replacing(path) as fh:
+        fh.write(MAGIC_DATASET)
+        fh.write(struct.pack("<3Q", n, m, p))
+        _write_f64(fh, positions)
+        entries = 0
+        for block in blocks:
+            # complex128 is (re, im) pairs of doubles: its float64 view
+            # is the interleaved channel block, written without a copy
+            _write_f64(fh, np.ascontiguousarray(block, dtype=np.complex128).view(np.float64))
+            entries += block.size
         if entries != n * m:
             raise ValueError(f"channel blocks hold {entries} entries, expected {n}x{m}")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 # read_dataset walks the channel section this many rows at a time, through
@@ -211,6 +221,7 @@ def read_dataset(path: str, sample_rate: float = 7.0, rows=None) -> ChannelSet:
 
 
 def write_model(path: str, model) -> None:
+    """Write a ``CCM1`` file, atomically: a failed write leaves no partial file."""
     kind = getattr(model, "KIND", None)
     if kind == EncoderParams.KIND:
         header = (model.m, model.n_init, model.d_out, model.k)
@@ -219,7 +230,7 @@ def write_model(path: str, model) -> None:
         header = (len(model.weights), *dims)
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(MAGIC_MODEL)
         fh.write(struct.pack(f"<{1 + len(header)}Q", kind, *header))
         for arr in model.arrays():
@@ -268,8 +279,8 @@ def read_model(path: str):
 
 
 def write_text(path: str, text: str) -> None:
-    """Write text with LF endings regardless of platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write text with LF endings regardless of platform, atomically as write_model."""
+    with _replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 

@@ -30,6 +30,10 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 
 
+class DataError(ValueError):
+    """A dataset the pipeline cannot compute on, such as zero channels or too few samples."""
+
+
 def pseudo_distance(h_i: np.ndarray, h_j: np.ndarray) -> float:
     """Distance between two nonzero complex vectors of equal length.
 
@@ -70,7 +74,7 @@ def distance_matrix(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"zero-norm channel row at index {int(zero[0])}")
+        raise DataError(f"zero-norm channel row at index {int(zero[0])}")
     gram = rows.conj() @ rows.T
     corr = np.abs(gram) / np.outer(norms, norms)
     np.clip(corr, None, 1.0, out=corr)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import encoder as enc
+from .metricspace import DataError
 from .rng import SplitMix64, substream
 from .triplet import MiningConfig, mine_triplets, triplet_loss_grad_batch
 
@@ -212,7 +212,7 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig, rows=None) -> Train
         rows, _ = split_dataset(channels.shape[0], cfg.split_ratio, substream(cfg.seed, 0))
     triplets = mine_triplets(int(rows.size), mining)
     if not triplets:
-        raise ValueError("mining produced no triplets")
+        raise DataError("mining produced no triplets")
     trip = np.asarray(triplets, dtype=np.int64)
     anchors = rows[trip[:, 0]]
     closes = rows[trip[:, 1]]
@@ -251,6 +251,6 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig, rows=None) -> Train
                 raise ValueError(f"training diverged: non-finite parameters at epoch "
                                  f"{epoch}, step {step}")
         if loss_count == 0:
-            raise enc.DegenerateInputError("all training triplets degenerate")
+            raise DataError("all training triplets degenerate")
         epoch_losses.append(loss_sum / loss_count)
     return TrainReport(epoch_losses=epoch_losses, skipped=skipped)

@@ -206,11 +206,12 @@ def argsort_top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
 def full_row_backward_batch(p, cache, gz, out=None):
     """The batch-summed hybrid gradients with every row in every product.
 
-    Not-ok rows get zero output and correlation gradients, and their h
-    planes are zeroed in a copy, so non-finite channels cannot leak in as
-    NaN*0.  This was the package's ``backward_batch`` before it multiplied
-    only the live rows and wrote into ``out``; given ``out``, the
-    gradients are copied into it.
+    The h planes of all charted rows are gathered from the cache's
+    ``channels`` and ``rows``.  Not-ok rows get zero output and correlation
+    gradients, and their h planes are zeroed in a copy, so non-finite
+    channels cannot leak in as NaN*0.  This was the package's
+    ``backward_batch`` before it multiplied only the live rows and wrote
+    into ``out``; given ``out``, the gradients are copied into it.
     """
     ok = cache.ok
     gz = np.array(gz, dtype=np.float64)
@@ -224,7 +225,9 @@ def full_row_backward_batch(p, cache, gz, out=None):
     safe_b = np.where(cache.b > 0.0, cache.b, 1.0)
     ga_re = gc * cache.a_re / safe_b
     ga_im = gc * cache.a_im / safe_b
-    h_re, h_im = cache.h_re, cache.h_im
+    rows = slice(None) if cache.rows is None else cache.rows
+    h_re = np.ascontiguousarray(cache.channels.real[rows])
+    h_im = np.ascontiguousarray(cache.channels.imag[rows])
     if not ok.all():
         ga_re[~ok] = 0.0
         ga_im[~ok] = 0.0

@@ -7,13 +7,14 @@ import struct
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from chanchart import encoder, fileio
+from chanchart import encoder, fileio, synthgen
 from chanchart.cli import main
 from chanchart.config import ExperimentConfig, derive_seeds, preset
 from chanchart.rng import SplitMix64, substream
-from chanchart.synthgen import generate_trajectory, synthesize_channels
+from chanchart.synthgen import ChannelSet, generate_trajectory, synthesize_channels
 from chanchart.trainer import split_dataset, train_size
 from chanchart.triplet import mine_triplets
 
@@ -438,6 +439,65 @@ def test_generate_failing_in_a_late_block_leaves_no_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_allocation_failure_exits_2_with_one_json_line(tmp_path, capsys, monkeypatch):
+    # a config sized past the machine's memory fails in numpy's allocator
+    detail = ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+              "and data type float64")
+
+    def allocate(cfg):
+        raise MemoryError(detail)
+    monkeypatch.setattr(synthgen, "generate_trajectory", allocate)
+    out = tmp_path / "data.bin"
+    assert main(["generate", "--preset", "tiny", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "config", "detail": detail}
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# well-formed datasets the pipeline cannot compute on
+
+
+def _crafted_data(tmp_path, n: int, zero: bool) -> str:
+    """A CCD1 file of n M = 16 channel rows, all zero or random, on a line."""
+    channels = np.zeros((n, 16), dtype=np.complex128)
+    if not zero:
+        rng = SplitMix64(7)
+        channels += (rng.normals(16 * n) + 1j * rng.normals(16 * n)).reshape(n, 16)
+    positions = np.stack([np.arange(n, dtype=np.float64), np.zeros(n)], axis=1)
+    path = str(tmp_path / "data.bin")
+    fileio.write_dataset(path, ChannelSet(channels=channels, positions=positions,
+                                          sample_rate=1.0))
+    return path
+
+
+@pytest.mark.parametrize("verb, n, zero, detail", [
+    ("train", 4, False, "mining produced no triplets"),
+    ("train", 61, True, "all training triplets degenerate"),
+    ("eval", 61, True, "fewer than 3 chartable samples"),
+    ("init", 61, True, "zero-norm channel row at index 0"),
+])
+def test_dataset_the_pipeline_cannot_compute_on_exits_5(tmp_path, capsys, verb, n, zero,
+                                                        detail):
+    # _small_doc's windows need a 5-sample training split: 4 samples give 3
+    init = "smart" if verb == "init" else "random"
+    cfg = _write_doc(tmp_path, _small_doc(init=init))
+    data = _crafted_data(tmp_path, n, zero)
+    model = str(tmp_path / "model.bin")
+    fileio.write_model(model, encoder.init_random(16, 12, 3, 2, seed=1))
+    out = tmp_path / "out"
+    argv = [verb, "--config", cfg, "--data", data, "--out", str(out)]
+    if verb != "init":
+        argv += ["--model-in" if verb == "train" else "--model", model]
+    capsys.readouterr()
+    assert main(argv) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "data", "detail": detail}
+    assert not out.exists()
+
+
 def _nan_at(data: str, row: int, path: str) -> None:
     """Copy the dataset ``data`` to ``path`` with one NaN in channel row ``row``."""
     raw = bytearray(open(data, "rb").read())
@@ -612,7 +672,7 @@ def test_corrupted_files_fail_with_one_json_line(tiny_files, tmp_path, capsys):
             capsys.readouterr()
             code = main(argv)
             err = capsys.readouterr().err.splitlines()
-            assert code in (2, 3, 4), (target, what, code)
+            assert code in (2, 3, 4, 5), (target, what, code)
             assert len(err) == 1, (target, what, err)
             doc = json.loads(err[0])
             assert set(doc) == {"error", "detail"}, (target, what, doc)
@@ -676,7 +736,7 @@ def test_config_mutations_exit_cleanly(tmp_path, capsys):
         if code == 0:
             assert err == [], (what, err)
             continue
-        assert code in (2, 3, 4), (what, code)
+        assert code in (2, 3, 4, 5), (what, code)
         assert len(err) == 1, (what, err)
         assert set(json.loads(err[0])) == {"error", "detail"}, (what, err)
         failed += 1

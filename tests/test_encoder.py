@@ -1,5 +1,6 @@
 """Hybrid sparse-correlation encoder and the MLP baseline."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -323,6 +324,55 @@ def test_backward_batch_is_bitwise_the_full_row_oracle(case):
     for g, o, w in zip(in_place, out, want):
         assert g is o
         assert np.array_equal(g, w)
+
+
+def test_backward_batch_over_selected_rows_is_bitwise_the_gathered_copy():
+    # an indexed cache gathers its live rows through the index
+    p = _random_params(60, 10, 7, 3)
+    channels = _random_channels(61, 30, 10)
+    channels[[4, 9]] = 0.0
+    index = np.array([9, 3, 27, 3, 4, 12, 0, 21, 16, 8])
+    gz = SplitMix64(62).normals(2 * index.size).reshape(index.size, 2)
+    gz[[1, 6]] = 0.0
+    z_idx, cache = forward_batch(p, channels, index)
+    z_copy, copy_cache = forward_batch(p, channels[index])
+    assert np.array_equal(z_idx, z_copy) and cache.ok.tolist().count(False) == 2
+    for got, want in zip(backward_batch(p, cache, gz),
+                         full_row_backward_batch(p, copy_cache, gz)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("selected", [False, True])
+def test_batch_cache_holds_no_plane_of_the_channels(selected):
+    # the cache refers to the caller's channels; no (rows, M) array is its own
+    m, n_init = 10, 7
+    p = _random_params(63, m, n_init, 3)
+    channels = _random_channels(64, 12, m)
+    index = np.arange(12)[::-1] if selected else None
+    _, cache = forward_batch(p, channels, index)
+    assert cache.channels is channels
+    for f in dataclasses.fields(cache):
+        value = getattr(cache, f.name)
+        if f.name != "channels" and isinstance(value, np.ndarray):
+            assert value.shape[-1] != m, f.name
+
+
+def test_hybrid_chart_block_holds_one_real_plane():
+    # a 1,024-row block of M = 1,024 channels: the forward frees the real
+    # plane before it gathers the imaginary one, where both planes were held
+    n = m = CHART_ROWS
+    channels = _random_channels(65, n, m)
+    model = _random_params(66, m, 16, 5)
+    plane = n * m * 8
+    for index in (None, np.arange(n)[::-1].copy()):
+        tracemalloc.start()
+        try:
+            z, ok = chart_batch(model, channels, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (n, 2) and ok.all()
+        assert peak < 1.25 * plane, peak / plane
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chanchart import fileio
 from chanchart.encoder import EncoderParams, MlpParams, init_random, mlp_init
 from chanchart.fileio import (
     READ_ROWS,
@@ -382,6 +383,35 @@ def test_write_text_uses_lf_only(tmp_path):
     path = tmp_path / "t.csv"
     write_text(str(path), "a,b\n1,2\n")
     assert path.read_bytes() == b"a,b\n1,2\n"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_writes_failing_midway_leave_no_partial_file(tmp_path, monkeypatch, existing):
+    # the model fails after its header and first array are written, the text
+    # when encoding meets a lone surrogate, once the output file is open;
+    # both take a path object as well as a string
+    model_path, text_path = tmp_path / "m.bin", tmp_path / "t.csv"
+    if existing:
+        model_path.write_bytes(b"old model")
+        text_path.write_bytes(b"old text")
+    with pytest.raises(UnicodeEncodeError):
+        write_text(text_path, "a,b\n\ud800\n")
+    written = []
+
+    def write_f64(fh, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(arr)
+        fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+    monkeypatch.setattr(fileio, "_write_f64", write_f64)
+    with pytest.raises(OSError, match="disk full"):
+        write_model(model_path, init_random(4, 6, 2, 2, seed=1))
+    assert len(written) == 1
+    want = ["m.bin", "t.csv"] if existing else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == want
+    if existing:
+        assert model_path.read_bytes() == b"old model"
+        assert text_path.read_bytes() == b"old text"
 
 
 def test_chart_csv_content():
