@@ -17,6 +17,7 @@ triplets).  On failure, the last stderr line is machine-readable JSON:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -44,16 +45,17 @@ def _check_m(model, m: int) -> None:
         raise DimensionError(f"model expects M={model.m} channel entries, dataset has M={m}")
 
 
-def _read_rows(cfg: ExperimentConfig, data_path: str, model, pick):
-    """The dataset rows pick(N) chooses, once the header shows the model's M fits it.
+@contextlib.contextmanager
+def _dataset(cfg: ExperimentConfig, data_path: str, check):
+    """The dataset as a ChannelSet whose channels are read from the file by index.
 
-    The M check runs before any channel row is read; every row is still
-    read and checked for non-finite values.
+    The channels are a fileio.RowReader: ``check(n, m)`` runs before any
+    channel row is read, every row is then checked for non-finite values,
+    and a verb holds only the rows it gathers.
     """
-    def rows(n: int, m: int):
-        _check_m(model, m)
-        return pick(n)
-    return fileio.read_dataset(data_path, sample_rate=cfg.sample_rate(), rows=rows)
+    with fileio.RowReader(data_path, check) as data:
+        yield synthgen.ChannelSet(channels=data, positions=data.positions,
+                                  sample_rate=cfg.sample_rate())
 
 
 def _split(cfg: ExperimentConfig, n: int):
@@ -107,15 +109,9 @@ def _check_encoder_fits(cfg: ExperimentConfig, n: int, smart: bool) -> None:
 
 def cmd_init(cfg: ExperimentConfig, data_path: str, out_path: str) -> int:
     # a smart init reads only its dictionary atoms, the others no channel row
-    e, smart = cfg.encoder, cfg.encoder.init == "smart"
-
-    def rows(n: int, m: int):
-        _check_encoder_fits(cfg, n, smart)
-        return encoder.smart_atoms(n, e.n_init, cfg.seeds["init"]) if smart else []
-    cs = fileio.read_dataset(data_path, sample_rate=cfg.sample_rate(), rows=rows)
-    if smart:
-        model = encoder.init_from_atoms(cs.channels, e.k_iso, e.k, e.d_out)
-    else:
+    e = cfg.encoder
+    with _dataset(cfg, data_path,
+                  lambda n, m: _check_encoder_fits(cfg, n, e.init == "smart")) as cs:
         model = _init_model(cfg, cs, e.init)
     fileio.write_model(out_path, model)
     print(f"init: wrote {out_path} ({e.init} init, "
@@ -125,11 +121,10 @@ def cmd_init(cfg: ExperimentConfig, data_path: str, out_path: str) -> int:
 
 def cmd_train(cfg: ExperimentConfig, data_path: str, model_in: str,
               model_out: str, loss_path: str | None) -> int:
+    # each step reads its batch's rows; train takes the training split itself
     model = fileio.read_model(model_in)
-    cs = _read_rows(cfg, data_path, model, lambda n: _split(cfg, n)[0])
-    mining = cfg.mining_config(cs.sample_rate)
-    report = train(model, cs, cfg.train_config(), mining,
-                   rows=np.arange(cs.channels.shape[0]))
+    with _dataset(cfg, data_path, lambda n, m: _check_m(model, m)) as cs:
+        report = train(model, cs, cfg.train_config(), cfg.mining_config(cs.sample_rate))
     fileio.write_model(model_out, model)
     if loss_path is not None:
         fileio.write_text(loss_path, fileio.loss_csv(report.epoch_losses))
@@ -141,10 +136,11 @@ def cmd_train(cfg: ExperimentConfig, data_path: str, model_in: str,
 
 def cmd_eval(cfg: ExperimentConfig, data_path: str, model_path: str,
              out_path: str) -> int:
+    # each chart block's rows are read as it is charted
     model = fileio.read_model(model_path)
-    held_out = _read_rows(cfg, data_path, model, lambda n: _split(cfg, n)[1])
-    report = evalmetrics.evaluate(model, held_out, np.arange(held_out.channels.shape[0]),
-                                  cfg.k_grid)
+    with _dataset(cfg, data_path, lambda n, m: _check_m(model, m)) as cs:
+        _, held_out = _split(cfg, cs.positions.shape[0])
+        report = evalmetrics.evaluate(model, cs, held_out, cfg.k_grid)
     fileio.write_text(out_path, report.to_csv())
     k, frac, tw, ct = report.rows[0]
     print(f"eval: {report.n_eval} held-out samples, TW@{frac:g}={tw:.4f} "

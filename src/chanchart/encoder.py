@@ -19,7 +19,9 @@ trainer, the chart code, the parameter count and the model writer use:
 ``KIND`` is the model kind in ``CCM1`` files; ``arrays()`` lists the
 parameter arrays in Adam and file order; ``forward_rows(channels,
 index=None)`` charts ``channels`` (or the rows ``channels[index]``) and
-returns ``(z, ok, cache)``, ``ok`` flagging the chartable rows; and
+returns ``(z, ok, cache)``, ``ok`` flagging the chartable rows -- given an
+index, ``channels`` may also be a fileio.RowReader, which reads those rows
+from its file; and
 ``backward_rows(cache, gz, out=None)`` returns the batch-summed gradients
 of ``sum(gz * z)``, one per array, to which not-ok rows add nothing.  Given
 ``out``, arrays shaped like ``arrays()``, the gradients are written into
@@ -75,7 +77,9 @@ class EncoderParams:
     def arrays(self) -> list:
         return [self.d_re, self.d_im, self.z]
 
-    def forward_rows(self, channels: np.ndarray, index=None):
+    def forward_rows(self, channels, index=None):
+        if index is not None and not isinstance(channels, np.ndarray):
+            channels, index = channels[index], None  # a fileio.RowReader reads the rows
         z, cache = forward_batch(self, channels, index)
         return z, cache.ok, cache
 
@@ -118,7 +122,7 @@ class MlpParams:
     def arrays(self) -> list:
         return list(self.weights)
 
-    def forward_rows(self, channels: np.ndarray, index=None):
+    def forward_rows(self, channels, index=None):
         rows = channels if index is None else channels[index]
         z, activations, ok = mlp_forward_batch(self, rows)
         return z, ok, (activations, ok)

@@ -67,15 +67,19 @@ def _check_size(fh, payload: int, path: str) -> None:
                               f"(header implies {expected} bytes, file has {actual})")
 
 
-def _read_into(fh, out: np.ndarray, path: str, what: str) -> np.ndarray:
-    """Read little-endian doubles straight into ``out``; reject non-finite values."""
-    got = fh.readinto(out)
+def _checked(out: np.ndarray, got: int, path: str, what: str) -> np.ndarray:
+    """``out`` once ``got`` bytes were read into it: short or non-finite is rejected."""
     if got != out.nbytes:
         raise FileFormatError(f"{path}: truncated while reading {what} "
                               f"(wanted {out.nbytes} bytes, got {got})")
     if not np.isfinite(out).all():
         raise FileFormatError(f"{path}: non-finite value in {what}")
     return out
+
+
+def _read_into(fh, out: np.ndarray, path: str, what: str) -> np.ndarray:
+    """Read little-endian doubles straight into ``out``; reject non-finite values."""
+    return _checked(out, fh.readinto(out), path, what)
 
 
 def _read_f64(fh, shape: tuple, path: str, what: str) -> np.ndarray:
@@ -90,16 +94,20 @@ def _write_f64(fh, arr: np.ndarray) -> None:
 def _replacing(path: str, mode: str = "wb", **kwargs):
     """Open ``path + ".tmp"`` for writing and rename it onto ``path`` when the
     block completes.  If the block or the write fails, the temporary file is
-    removed, so no partial file is left and an existing ``path`` is unchanged.
+    removed, so no partial file is left and an existing ``path`` is unchanged;
+    an ``OSError`` is raised again naming ``path``.
     """
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the file the caller asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -135,8 +143,8 @@ def write_dataset_blocks(path: str, positions, m: int, blocks) -> None:
             raise ValueError(f"channel blocks hold {entries} entries, expected {n}x{m}")
 
 
-# read_dataset walks the channel section this many rows at a time, through
-# one reused buffer, so it holds only the rows it keeps.
+# The readers walk the channel section this many rows at a time, through one
+# reused buffer, so a walk holds only the rows it keeps.
 READ_ROWS = 64
 
 
@@ -187,33 +195,66 @@ class DatasetReader:
             yield lo, block.view("<c16").reshape(block.shape[0], self.m)
 
 
-def read_dataset(path: str, sample_rate: float = 7.0, rows=None) -> ChannelSet:
-    """Load a ``CCD1`` file, or the samples of it that ``rows`` chooses.
+class RowReader(DatasetReader):
+    """A checked ``CCD1`` file whose channel rows are read by index, on demand.
 
-    ``rows``, if given, is called with the header's N and M before any
-    channel row is read, and may refuse the file by raising; it returns the
-    sample indices to keep, in the order to return them.  Every channel row
-    is still read and checked as DatasetReader does, READ_ROWS at a time,
-    and only the kept rows are copied out: bit-for-bit the file's doubles,
-    as C-contiguous complex128.
+    Opening runs DatasetReader's checks, then ``check(n, m)``, if given,
+    before any channel row is read: it may refuse the file by raising.  Then
+    every channel row is read once, READ_ROWS at a time, keeping nothing, and
+    a non-finite value raises ``FileFormatError``.  ``reader[index]`` reads
+    the chosen rows, so a verb holds the rows it computes on and not the
+    dataset; ``shape`` is (N, M), as for an array of the channels.
+    """
+
+    def __init__(self, path: str, check=None):
+        super().__init__(path)
+        self._channels_at = self._fh.tell()
+        try:
+            if check is not None:
+                check(self.n, self.m)
+            for _ in self.blocks(READ_ROWS):
+                pass
+        except BaseException:
+            self._fh.close()
+            raise
+        self.shape = (self.n, self.m)
+
+    def __getitem__(self, index) -> np.ndarray:
+        """The channel rows ``index`` chooses, in its order, as C-contiguous complex128.
+
+        ``index`` is a 1-D array of integers in [0, N); anything else raises
+        ValueError.  Each row is one positioned read into the result, bit
+        for bit the file's doubles.  A short read raises ``FileFormatError``
+        ("truncated"), and so does a non-finite value, so a file changed
+        since the check at opening is still caught.
+        """
+        index = np.asarray(index)
+        if index.ndim != 1 or index.size and (index.dtype.kind not in "iu" or index.min() < 0
+                                              or index.max() >= self.n):
+            raise ValueError(f"row index is not a 1-D array of rows of N={self.n} samples")
+        out = np.empty((index.size, self.m, 2), dtype="<f8")
+        fd, row_bytes = self._fh.fileno(), 16 * self.m
+        got = sum(os.preadv(fd, [row], self._channels_at + row_bytes * i)
+                  for row, i in zip(out, index.tolist()))
+        _checked(out, got, self.path, "channels")
+        return out.view("<c16").reshape(index.size, self.m)
+
+
+def read_dataset(path: str, sample_rate: float = 7.0) -> ChannelSet:
+    """Load a ``CCD1`` file.
+
+    The channel rows are read and checked as DatasetReader does, READ_ROWS
+    at a time: bit-for-bit the file's doubles, as C-contiguous complex128.
 
     The file does not store the sampling rate (it belongs to the experiment
     config, not the measurements); pass it in when triplet mining will need
     it downstream.
     """
     with DatasetReader(path) as data:
-        keep = np.arange(data.n) if rows is None else np.asarray(rows(data.n, data.m),
-                                                                  dtype=np.int64)
-        if keep.ndim != 1 or np.any((keep < 0) | (keep >= data.n)):
-            raise ValueError(f"row choice is not a list of rows of N={data.n} samples")
-        order = np.argsort(keep, kind="stable")
-        wanted = keep[order]
-        channels = np.empty((keep.size, data.m), dtype=np.complex128)
+        channels = np.empty((data.n, data.m), dtype=np.complex128)
         for lo, block in data.blocks(READ_ROWS):
-            a, b = np.searchsorted(wanted, (lo, lo + block.shape[0]))
-            channels[order[a:b]] = block[wanted[a:b] - lo]
-        positions = data.positions[keep]
-    return ChannelSet(channels=channels, positions=positions, sample_rate=sample_rate)
+            channels[lo:lo + block.shape[0]] = block
+    return ChannelSet(channels=channels, positions=data.positions, sample_rate=sample_rate)
 
 
 # ---------------------------------------------------------------------------

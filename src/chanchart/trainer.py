@@ -194,22 +194,22 @@ def _backprop(model, channels: np.ndarray, idx: np.ndarray, margin: float, grads
 # Overflow and NaN in a step are caught by the finiteness checks below and
 # raised as one error, so numpy's warnings about them are silenced.
 @np.errstate(over="ignore", invalid="ignore")
-def train(model, cs, cfg: TrainConfig, mining: MiningConfig, rows=None) -> TrainReport:
+def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
     """Triplet-train the encoder on a split of cs; returns losses and skip count.
 
-    The training rows are split_dataset's training half of cs or, given
-    ``rows``, those rows of cs (ascending).  Triplets are mined over
-    positions within the ordered train subset, then mapped back to rows of
-    cs.  All three branches of a triplet share the same parameter snapshot
-    within a step (asserted by checksum).
+    The training rows are split_dataset's training half of cs.  Triplets
+    are mined over positions within the ordered train subset, then mapped
+    back to rows of cs.  ``cs.channels`` may be an array or a
+    fileio.RowReader, which reads each step's rows from its file.  All
+    three branches of a triplet share the same parameter snapshot within a
+    step (asserted by checksum).
 
     A step whose loss sum, or whose updated parameters' checksum, is not
     finite stops training with ValueError("training diverged: ...") naming
     its 1-based epoch and step.
     """
     channels = cs.channels
-    if rows is None:
-        rows, _ = split_dataset(channels.shape[0], cfg.split_ratio, substream(cfg.seed, 0))
+    rows, _ = split_dataset(channels.shape[0], cfg.split_ratio, substream(cfg.seed, 0))
     triplets = mine_triplets(int(rows.size), mining)
     if not triplets:
         raise DataError("mining produced no triplets")

@@ -11,6 +11,7 @@ from chanchart.encoder import EncoderParams, MlpParams, init_random, mlp_init
 from chanchart.fileio import (
     READ_ROWS,
     FileFormatError,
+    RowReader,
     MAGIC_DATASET,
     MAGIC_MODEL,
     SEGMENT_COLORS,
@@ -209,36 +210,45 @@ def test_row_selective_read_returns_exactly_the_chosen_rows(tmp_path, choice):
             "none": np.array([], dtype=np.int64),
             "all": np.arange(n)}[choice]
     asked = []
+    with RowReader(path, check=lambda n_rows, m: asked.append((n_rows, m))) as data:
+        assert asked == [(n, 3)] and data.shape == (n, 3)
+        back = data[rows]
+        assert np.array_equal(data.positions, cs.positions)
+    assert back.dtype == np.complex128 and back.flags.c_contiguous
+    assert back.shape == (rows.size, 3)
+    assert np.array_equal(back.view(np.uint64), cs.channels[rows].view(np.uint64))
 
-    def choose(n_rows, m):
-        asked.append((n_rows, m))
-        return rows
 
-    back = read_dataset(path, sample_rate=3.0, rows=choose)
-    assert asked == [(n, 3)]
-    assert back.channels.dtype == np.complex128 and back.channels.flags.c_contiguous
-    assert back.channels.shape == (rows.size, 3) and back.sample_rate == 3.0
-    assert np.array_equal(back.channels.view(np.uint64), cs.channels[rows].view(np.uint64))
-    assert np.array_equal(back.positions, cs.positions[rows])
+def test_row_reader_reads_the_rows_read_dataset_returns(tmp_path):
+    cs = _signed_zero_channelset()
+    path = str(tmp_path / "d.bin")
+    write_dataset(path, cs)
+    idx = np.array([4, 0, 4, 2])
+    with RowReader(path) as data:
+        back = data[idx]
+    assert np.array_equal(back, read_dataset(path).channels[idx])
+    assert np.array_equal(back.view(np.uint64), cs.channels[idx].view(np.uint64))
 
 
 def test_row_selective_read_still_checks_every_row(tmp_path):
     cs = _random_channelset(n=150, m=3)
-    cs.channels[140, 1] = complex(0.5, np.nan)  # in the last block, never kept
+    cs.channels[140, 1] = complex(0.5, np.nan)  # in the last block, never read by index
     path = str(tmp_path / "d.bin")
     write_dataset(path, cs)
     with pytest.raises(FileFormatError, match="non-finite value in channels"):
-        read_dataset(path, rows=lambda n, m: [0, 1])
+        RowReader(path)
     with pytest.raises(FileFormatError, match="non-finite value in channels"):
-        read_dataset(path, rows=lambda n, m: [])
+        RowReader(path, check=lambda n, m: None)
 
 
 def test_row_choice_is_checked_against_n(tmp_path):
     path = str(tmp_path / "d.bin")
     write_dataset(path, _random_channelset(n=7))
-    for rows in ([7], [-1], [[0, 1]]):
-        with pytest.raises(ValueError, match="N=7"):
-            read_dataset(path, rows=lambda n, m: rows)
+    with RowReader(path) as data:
+        for rows in ([7], [-1], [[0, 1]], [0.0], [True], 3):
+            with pytest.raises(ValueError, match="N=7"):
+                data[rows]
+        assert data[[]].shape == (0, 5)
 
 
 def test_row_choice_that_raises_stops_before_any_channel_row(tmp_path):
@@ -255,11 +265,30 @@ def test_row_choice_that_raises_stops_before_any_channel_row(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(LookupError, match=f"refused N={n} M={m}"):
-            read_dataset(str(path), rows=refuse)
+            RowReader(str(path), check=refuse)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * 2 + (1 << 20)  # the positions, and no channel buffer
+
+
+def test_row_reader_catches_a_file_changed_after_opening(tmp_path):
+    cs = _random_channelset(n=10, m=3)
+    path = tmp_path / "d.bin"
+    write_dataset(str(path), cs)
+    size = path.stat().st_size
+    with RowReader(str(path)) as data:
+        with open(path, "r+b") as fh:  # a NaN in row 4's imaginary part
+            fh.seek(size - 16 * 3 * 6 + 8)
+            fh.write(struct.pack("<d", np.nan))
+        assert np.array_equal(data[[3, 5]], cs.channels[[3, 5]])
+        with pytest.raises(FileFormatError, match="d.bin: non-finite value in channels"):
+            data[[3, 4]]
+        path.write_bytes(path.read_bytes()[:size - 16 * 3 * 2])  # rows 8 and 9 cut
+        assert np.array_equal(data[[7]], cs.channels[[7]])
+        with pytest.raises(FileFormatError, match="truncated while reading channels "
+                                                  r"\(wanted 96 bytes, got 48\)"):
+            data[[7, 8]]
 
 
 def _blocks(channels, size):
