@@ -125,6 +125,39 @@ def test_compare_writes_all_artifacts_deterministically(tmp_path, capsys):
     assert arms == {"smart", "random"}
 
 
+@pytest.fixture(scope="module")
+def tiny_compare(tmp_path_factory):
+    """compare's artifacts on the tiny preset, without the MLP arm."""
+    d = tmp_path_factory.mktemp("compare")
+    cfg = _write_doc(d, _tiny_doc(baseline={"mlp": False}))
+    assert main(["compare", "--config", cfg, "--out", str(d / "out")]) == 0
+    return d / "out"
+
+
+@pytest.mark.parametrize("arm", ["random", "smart"])
+def test_file_verbs_write_the_bytes_compare_writes(tmp_path, capsys, tiny_compare, arm):
+    # generate -> init -> train -> eval -> chart read and write files where
+    # compare holds the dataset in memory; both must give the same bytes
+    cfg = _write_doc(tmp_path, _tiny_doc(encoder={"init": arm}))
+    data, model0, model1 = (str(tmp_path / n) for n in ("data.bin", "m0.bin", "m1.bin"))
+    loss, metrics, chart = (str(tmp_path / n) for n in ("loss.csv", "metrics.csv", "chart"))
+    common = ["--config", cfg, "--data", data]
+    assert main(["generate", "--config", cfg, "--out", data]) == 0
+    assert main(["init", *common, "--out", model0]) == 0
+    assert main(["train", *common, "--model-in", model0, "--out", model1,
+                 "--loss-csv", loss]) == 0
+    assert main(["eval", *common, "--model", model1, "--out", metrics]) == 0
+    assert main(["chart", *common, "--model", model1, "--out", chart]) == 0
+    for got, name in ((model1, f"model_{arm}.bin"), (loss, f"loss_{arm}.csv"),
+                      (chart + ".csv", f"chart_{arm}.csv"), (chart + ".svg", f"chart_{arm}.svg")):
+        assert open(got, "rb").read() == (tiny_compare / name).read_bytes(), name
+    header, *rows = (tiny_compare / "metrics.csv").read_text().splitlines()
+    assert header.startswith("arm,phase,")
+    trained = [row.split(",", 2)[2] for row in rows if row.startswith(f"{arm},trained,")]
+    assert len(trained) == len(preset("tiny").k_grid)
+    assert open(metrics).read().splitlines() == [header.split(",", 2)[2]] + trained
+
+
 def test_seed_override_rederives_stage_seeds(tmp_path, capsys):
     cfg = _write_doc(tmp_path, _small_doc())
     assert main(["show-config", "--config", cfg, "--seed-override", "5"]) == 0
