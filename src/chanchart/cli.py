@@ -49,9 +49,10 @@ def _check_m(model, m: int) -> None:
 def _dataset(cfg: ExperimentConfig, data_path: str, check):
     """The dataset as a ChannelSet whose channels are read from the file by index.
 
-    The channels are a fileio.RowReader: ``check(n, m)`` runs before any
-    channel row is read, every row is then checked for non-finite values,
-    and a verb holds only the rows it gathers.
+    Every verb that reads a dataset opens it here.  The channels are a
+    fileio.RowReader: ``check(n, m)`` runs before any channel row is read,
+    every row is then checked for non-finite values, and a verb holds only
+    the rows it gathers.
     """
     with fileio.RowReader(data_path, check) as data:
         yield synthgen.ChannelSet(channels=data, positions=data.positions,
@@ -150,18 +151,18 @@ def cmd_eval(cfg: ExperimentConfig, data_path: str, model_path: str,
 
 def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
               out_base: str) -> int:
-    # charts each CHART_ROWS block as it is read, as chart_batch would
+    # each chart block's rows are read as it is charted
     model = fileio.read_model(model_path)
-    with fileio.DatasetReader(data_path) as data:
-        _check_m(model, data.m)
+
+    def check(n: int, m: int) -> None:
+        _check_m(model, m)
         if model.d_out != 2:
             raise DimensionError(f"chart export needs a 2-D chart, model has d_out={model.d_out}")
-        chart, ok = np.empty((data.n, 2)), np.empty(data.n, dtype=bool)
-        for lo, block in data.blocks(encoder.CHART_ROWS):
-            hi = lo + block.shape[0]
-            chart[lo:hi], ok[lo:hi] = encoder.chart_batch(model, block)
+
+    with _dataset(cfg, data_path, check) as cs:
+        chart, ok = encoder.chart_batch(model, cs.channels)
     csv_path, svg_path = out_base + ".csv", out_base + ".svg"
-    fileio.write_text(csv_path, fileio.chart_csv(chart, data.positions))
+    fileio.write_text(csv_path, fileio.chart_csv(chart, cs.positions))
     fileio.write_text(svg_path, fileio.chart_svg(chart))
     skipped = int(chart.shape[0] - np.count_nonzero(ok))
     note = f" ({skipped} degenerate samples charted at origin)" if skipped else ""

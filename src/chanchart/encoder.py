@@ -18,10 +18,9 @@ Both parameter classes implement the one encoder interface that the
 trainer, the chart code, the parameter count and the model writer use:
 ``KIND`` is the model kind in ``CCM1`` files; ``arrays()`` lists the
 parameter arrays in Adam and file order; ``forward_rows(channels,
-index=None)`` charts ``channels`` (or the rows ``channels[index]``) and
-returns ``(z, ok, cache)``, ``ok`` flagging the chartable rows -- given an
-index, ``channels`` may also be a fileio.RowReader, which reads those rows
-from its file; and
+index)`` charts the rows ``channels[index]`` and returns ``(z, ok,
+cache)``, ``ok`` flagging the chartable rows -- ``channels`` is an array
+or a fileio.RowReader, which reads those rows from its file; and
 ``backward_rows(cache, gz, out=None)`` returns the batch-summed gradients
 of ``sum(gz * z)``, one per array, to which not-ok rows add nothing.  Given
 ``out``, arrays shaped like ``arrays()``, the gradients are written into
@@ -77,8 +76,8 @@ class EncoderParams:
     def arrays(self) -> list:
         return [self.d_re, self.d_im, self.z]
 
-    def forward_rows(self, channels, index=None):
-        if index is not None and not isinstance(channels, np.ndarray):
+    def forward_rows(self, channels, index):
+        if not isinstance(channels, np.ndarray):
             channels, index = channels[index], None  # a fileio.RowReader reads the rows
         z, cache = forward_batch(self, channels, index)
         return z, cache.ok, cache
@@ -122,9 +121,8 @@ class MlpParams:
     def arrays(self) -> list:
         return list(self.weights)
 
-    def forward_rows(self, channels, index=None):
-        rows = channels if index is None else channels[index]
-        z, activations, ok = mlp_forward_batch(self, rows)
+    def forward_rows(self, channels, index):
+        z, activations, ok = mlp_forward_batch(self, channels[index])
         return z, ok, (activations, ok)
 
     def backward_rows(self, cache, gz: np.ndarray, out=None):
@@ -379,25 +377,6 @@ def count_params(model) -> int:
     return sum(a.size for a in model.arrays())
 
 
-def _chart_block(model, channels: np.ndarray, rows):
-    """Chart ``channels[rows]`` with an encoder or a callable; returns (z, ok mask).
-
-    ``rows`` is a slice or an index block.  An encoder is handed an index
-    block with the channels, so it gathers the rows itself: the hybrid
-    straight into its real and imaginary planes.
-    """
-    if callable(model):
-        z = np.asarray(model(channels[rows]), dtype=np.float64)
-        return z, np.ones(z.shape[0], dtype=bool)
-    if not hasattr(model, "forward_rows"):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    if isinstance(rows, slice):
-        z, ok, _ = model.forward_rows(channels[rows])
-    else:
-        z, ok, _ = model.forward_rows(channels, rows)
-    return z, ok
-
-
 # chart_batch charts this many rows per encoder call.  Blocks of 500 rows or
 # fewer changed the last bit of some chart coordinates of the default dataset
 # against one call over all rows (BLAS takes other kernels for small
@@ -406,23 +385,23 @@ def _chart_block(model, channels: np.ndarray, rows):
 CHART_ROWS = 1024
 
 
-def chart_batch(model, channels: np.ndarray, index=None):
+def chart_batch(model, channels, index=None):
     """Chart many channels with either encoder; returns (z, ok mask).
 
-    Charts ``channels`` (or, given ``index``, the rows ``channels[index]``)
+    Charts the rows ``channels[index]`` (every row when ``index`` is None)
     in blocks of CHART_ROWS rows, so the encoder's per-row intermediates
-    never exceed one block.  Each block of selected rows is gathered only
-    when it is charted, by the encoder itself, so the hybrid makes no
-    complex copy of it.  The model may be an encoder (EncoderParams or
-    MlpParams), or a callable mapping an (n, M) channel block to an (n, d)
-    chart block.
+    never exceed one block.  Each block of rows is gathered only when it is
+    charted, by the encoder itself, so the hybrid makes no complex copy of
+    it; ``channels`` may also be a fileio.RowReader, which reads the block's
+    rows from its file.
     """
-    n = channels.shape[0] if index is None else len(index)
+    index = np.arange(channels.shape[0]) if index is None else index
+    n = len(index)
     z = ok = None
     for lo in range(0, max(n, 1), CHART_ROWS):  # one empty block when n == 0
         hi = min(lo + CHART_ROWS, n)
-        rows = slice(lo, hi) if index is None else index[lo:hi]
-        z_block, ok_block = _chart_block(model, channels, rows)
+        # [:2] drops the block's cache before the next block is charted
+        z_block, ok_block = model.forward_rows(channels, index[lo:hi])[:2]
         if z is None:
             z = np.empty((n,) + z_block.shape[1:])
             ok = np.empty(n, dtype=bool)

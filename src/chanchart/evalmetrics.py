@@ -53,22 +53,6 @@ def _rank_rows(sq: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_matrix(points: np.ndarray) -> np.ndarray:
-    """Entry (i, j), i != j: rank of j by ascending distance to i (nearest = 1).
-
-    Ranks run over the other n-1 points; distance ties break toward the
-    lower index (stable order).  Ranking uses squared Euclidean distances,
-    which is order-equivalent.  The diagonal is set to 0 and carries no
-    meaning.  This is the whole n x n matrix; the scores never build it,
-    they rank the same rows a block at a time.
-    """
-    x = np.asarray(points, dtype=np.float64)
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two points to rank")
-    return _rank_rows(_sq_rows(x, 0, n), np.arange(n))
-
-
 def _max_k(n: int) -> int:
     return (2 * n - 2) // 3
 
@@ -126,10 +110,10 @@ def _scores(positions: np.ndarray, chart: np.ndarray, ks) -> list:
     Both spaces are scored in blocks of about RANK_ENTRIES (row, point)
     entries.  Each block's squared distances are sorted row by row; rows
     without ties in either space are ranked from the sorted rows, and the
-    others by a stable argsort (_rank_rows).  Both give the ranks of
-    rank_matrix, and the penalties are exact integers summed over the
-    blocks, so the result depends neither on the block size nor on which
-    rows took which path.
+    others by a stable argsort (_rank_rows).  Both give the ranks of the
+    whole n x n rank matrix (``rank_matrix`` in tests/helpers.py), and the
+    penalties are exact integers summed over the blocks, so the result
+    depends neither on the block size nor on which rows took which path.
     """
     pos = np.asarray(positions, dtype=np.float64)
     cht = np.asarray(chart, dtype=np.float64)
@@ -198,8 +182,7 @@ def evaluate(model, cs, indices, k_grid=DEFAULT_K_GRID) -> MetricsReport:
 
     K = max(1, round(frac * n_eval)) per fraction.  Degenerate (unchartable)
     samples are dropped and counted; fewer than 3 chartable samples is an
-    error.  The model may be EncoderParams, MlpParams, or any callable
-    mapping an (n, M) channel block to an (n, d) chart block.
+    error.  The model is an encoder, EncoderParams or MlpParams.
 
     The selected channels are gathered and charted one chart_batch block at
     a time, and both spaces are ranked in row blocks, so memory stays

@@ -18,6 +18,10 @@ Round-trips are bit-exact: float64 values pass through unchanged.  CSVs use
 ``,`` separators, ``.`` decimals, LF line endings, and ``repr`` floats (the
 shortest string that parses back to the same double), so identical inputs
 produce byte-identical files.
+
+Datasets are read through one class, ``RowReader``: opening checks the
+whole file, and indexing reads the chosen channel rows.  ``read_dataset``
+reads every row through it.
 """
 
 from __future__ import annotations
@@ -143,22 +147,26 @@ def write_dataset_blocks(path: str, positions, m: int, blocks) -> None:
             raise ValueError(f"channel blocks hold {entries} entries, expected {n}x{m}")
 
 
-# The readers walk the channel section this many rows at a time, through one
-# reused buffer, so a walk holds only the rows it keeps.
+# Opening walks the channel section this many rows at a time, through one
+# reused buffer, so the check holds none of the rows it reads.
 READ_ROWS = 64
 
 
-class DatasetReader:
-    """A ``CCD1`` file opened for one front-to-back walk over its channel rows.
+class RowReader:
+    """A checked ``CCD1`` file whose channel rows are read by index, on demand.
 
     Opening reads the header and checks it against the file length before
     anything is allocated, then reads the positions and rejects non-finite
-    ones, all as ``FileFormatError``.  ``n``, ``m`` and ``positions`` are
-    then known, and ``blocks`` walks the channel section.  Use it as a
-    context manager.
+    ones, all as ``FileFormatError``.  Then ``check(n, m)``, if given, runs
+    before any channel row is read: it may refuse the file by raising.  Then
+    every channel row is read once, READ_ROWS at a time, keeping nothing, and
+    a non-finite value raises ``FileFormatError``.  ``reader[index]`` reads
+    the chosen rows, so a verb holds the rows it computes on and not the
+    dataset; ``n``, ``m`` and ``positions`` are known, and ``shape`` is
+    (N, M), as for an array of the channels.  Use it as a context manager.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, check=None):
         self.path = path
         self._fh = fh = open(path, "rb")
         try:
@@ -169,55 +177,23 @@ class DatasetReader:
             if n < 1 or m < 1 or p not in (2, 3):
                 raise FileFormatError(f"{path}: implausible header N={n} M={m} P={p}")
             _check_size(fh, 8 * n * (p + 2 * m), path)
-            self.n, self.m = n, m
+            self.n, self.m, self.shape = n, m, (n, m)
             self.positions = _read_f64(fh, (n, p), path, "positions")
+            self._channels_at = fh.tell()
+            if check is not None:
+                check(n, m)
+            buf = np.empty((min(READ_ROWS, n), m, 2), dtype="<f8")
+            for lo in range(0, n, READ_ROWS):
+                _read_into(fh, buf[:min(READ_ROWS, n - lo)], path, "channels")
         except BaseException:
             fh.close()
             raise
 
-    def __enter__(self) -> "DatasetReader":
+    def __enter__(self) -> "RowReader":
         return self
 
     def __exit__(self, *exc) -> None:
         self._fh.close()
-
-    def blocks(self, rows: int):
-        """Yield (first row, channels) for consecutive blocks of ``rows`` channel rows.
-
-        Each block is read into one reused buffer, so it is valid only until
-        the next one is read, and a non-finite value in it raises
-        ``FileFormatError``.  The channels are complex128 views of the
-        file's doubles, bit for bit.
-        """
-        buf = np.empty((min(rows, self.n), self.m, 2), dtype="<f8")
-        for lo in range(0, self.n, rows):
-            block = _read_into(self._fh, buf[:min(rows, self.n - lo)], self.path, "channels")
-            yield lo, block.view("<c16").reshape(block.shape[0], self.m)
-
-
-class RowReader(DatasetReader):
-    """A checked ``CCD1`` file whose channel rows are read by index, on demand.
-
-    Opening runs DatasetReader's checks, then ``check(n, m)``, if given,
-    before any channel row is read: it may refuse the file by raising.  Then
-    every channel row is read once, READ_ROWS at a time, keeping nothing, and
-    a non-finite value raises ``FileFormatError``.  ``reader[index]`` reads
-    the chosen rows, so a verb holds the rows it computes on and not the
-    dataset; ``shape`` is (N, M), as for an array of the channels.
-    """
-
-    def __init__(self, path: str, check=None):
-        super().__init__(path)
-        self._channels_at = self._fh.tell()
-        try:
-            if check is not None:
-                check(self.n, self.m)
-            for _ in self.blocks(READ_ROWS):
-                pass
-        except BaseException:
-            self._fh.close()
-            raise
-        self.shape = (self.n, self.m)
 
     def __getitem__(self, index) -> np.ndarray:
         """The channel rows ``index`` chooses, in its order, as C-contiguous complex128.
@@ -241,19 +217,15 @@ class RowReader(DatasetReader):
 
 
 def read_dataset(path: str, sample_rate: float = 7.0) -> ChannelSet:
-    """Load a ``CCD1`` file.
+    """Load a ``CCD1`` file, checked as RowReader checks it.
 
-    The channel rows are read and checked as DatasetReader does, READ_ROWS
-    at a time: bit-for-bit the file's doubles, as C-contiguous complex128.
-
-    The file does not store the sampling rate (it belongs to the experiment
-    config, not the measurements); pass it in when triplet mining will need
-    it downstream.
+    The channels are bit-for-bit the file's doubles, as C-contiguous
+    complex128.  The file does not store the sampling rate (it belongs to
+    the experiment config, not the measurements); pass it in when triplet
+    mining will need it downstream.
     """
-    with DatasetReader(path) as data:
-        channels = np.empty((data.n, data.m), dtype=np.complex128)
-        for lo, block in data.blocks(READ_ROWS):
-            channels[lo:lo + block.shape[0]] = block
+    with RowReader(path) as data:
+        channels = data[np.arange(data.n)]
     return ChannelSet(channels=channels, positions=data.positions, sample_rate=sample_rate)
 
 

@@ -3,6 +3,9 @@
 Everything here is written independently of the package internals -- plain
 loops and well-known textbook formulations -- so that agreement between an
 oracle and the fast implementation is meaningful evidence, not a tautology.
+The exceptions are ``rank_matrix``, which runs the package's own ranker
+over whole rows so that it can be checked against the oracles, and
+``FunctionEncoder``, a stand-in model.
 """
 
 import heapq
@@ -12,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from chanchart import evalmetrics
 from chanchart.encoder import DegenerateInputError
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import SPEED_OF_LIGHT
@@ -128,6 +132,36 @@ def full_rank_matrix(points: np.ndarray) -> np.ndarray:
     ranks = pos + 1 - (pos > self_pos[:, None])
     ranks[rows, rows] = 0
     return ranks
+
+
+def rank_matrix(points: np.ndarray) -> np.ndarray:
+    """Entry (i, j), i != j: rank of j by ascending distance to i (nearest = 1).
+
+    The package's ranker (``evalmetrics._sq_rows`` and ``_rank_rows``, which
+    ``_scores`` uses on rows with ties) over all n rows at once.  Ranks run
+    over the other n-1 points; distance ties break toward the lower index.
+    The diagonal is set to 0 and carries no meaning.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError("need at least two points to rank")
+    return evalmetrics._rank_rows(evalmetrics._sq_rows(x, 0, n), np.arange(n))
+
+
+class FunctionEncoder:
+    """A stand-in encoder that charts a block of channel rows with ``fn``.
+
+    ``forward_rows(channels, index)`` returns ``(fn(channels[index]), ones,
+    None)``: every row is chartable, and there is no cache to train from.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def forward_rows(self, channels, index):
+        z = np.asarray(self.fn(channels[index]), dtype=np.float64)
+        return z, np.ones(z.shape[0], dtype=bool), None
 
 
 def full_matrix_score(rank_ranks: np.ndarray, nn_ranks: np.ndarray, k: int) -> float:

@@ -13,18 +13,19 @@ from chanchart.evalmetrics import (
     MetricsReport,
     continuity,
     evaluate,
-    rank_matrix,
     trustworthiness,
 )
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import ChannelSet
 
 from helpers import (
+    FunctionEncoder,
     brute_continuity,
     brute_ranks,
     brute_trustworthiness,
     full_matrix_rows,
     full_rank_matrix,
+    rank_matrix,
 )
 
 
@@ -168,8 +169,8 @@ def _position_channelset(n: int, m: int = 6) -> ChannelSet:
     return ChannelSet(channels=ch, positions=pos, sample_rate=1.0)
 
 
-def _position_reader(block):
-    return np.ascontiguousarray(block[:, :2].real)
+# charts each channel at its true position
+_position_reader = FunctionEncoder(lambda block: np.ascontiguousarray(block[:, :2].real))
 
 
 def test_evaluate_with_perfect_callable_model():
@@ -223,9 +224,8 @@ def test_metrics_report_csv_round_trip():
     assert float(tw) == 0.875 and float(ct) == 0.9375
 
 
-def _quantized_reader(block):
-    """Chart = position rounded to a 1.5 grid: many duplicate points and ties."""
-    return np.round(block[:, :2].real / 1.5) * 1.5
+# chart = position rounded to a 1.5 grid: many duplicate points and ties
+_quantized_reader = FunctionEncoder(lambda block: np.round(block[:, :2].real / 1.5) * 1.5)
 
 
 @pytest.mark.parametrize("model", ["quantized", "hybrid"])
