@@ -174,6 +174,32 @@ def test_show_config_to_file_round_trips(tmp_path, capsys):
     assert doc["scenario"]["kind"] == "explicit"
 
 
+def test_explicit_document_resolves_to_this_document():
+    # compared as JSON text, so key order is pinned along with every value;
+    # the radio keeps only the keys the document gives
+    want = {
+        "scenario": {
+            "kind": "explicit",
+            "trajectory": {"waypoints": [[0.0, 0.0], [20.0, 0.0], [20.0, 10.0], [0.0, 10.0],
+                                         [0.0, 0.0]],
+                           "speed": 1.0, "sample_rate": 1.0, "jitter_sigma": 0.05},
+            "radio": {"n_rows": 2, "n_cols": 2, "n_subcarriers": 4,
+                      "bs_position": [10.0, 5.0, 8.0]},
+            "scatterers": {"points": [[-5.0, 5.0, 4.0], [25.0, 5.0, 3.0]],
+                           "gains": [0.5, 0.4]},
+        },
+        "encoder": {"n_init": 12, "k": 3, "k_iso": 4, "d_out": 2, "init": "random"},
+        "mining": {"t_close": 3.0, "t_far": 9.0, "per_anchor": 1},
+        "training": {"epochs": 2, "batch_size": 8, "learning_rate": 0.001, "beta1": 0.9,
+                     "beta2": 0.999, "eps": 1e-08, "margin": 1.0, "split_ratio": 0.7},
+        "eval": {"k_grid": [0.05, 0.1]},
+        "seeds": {"trajectory": 16294208416658607535, "init": 7960286522194355700,
+                  "mining": 487617019471545679, "training": 17909611376780542444},
+        "baseline": {"mlp": False},
+    }
+    assert json.dumps(ExperimentConfig.from_dict(_small_doc()).to_dict()) == json.dumps(want)
+
+
 def test_preset_show_config(tmp_path, capsys):
     assert main(["show-config", "--preset", "tiny"]) == 0
     doc = json.loads(capsys.readouterr().out)

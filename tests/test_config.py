@@ -186,6 +186,15 @@ def test_bad_values_rejected_at_parse_time(section, key, value, match):
         ExperimentConfig.from_dict(doc)
 
 
+def test_explicit_scenario_resolves_to_this_section():
+    # the trajectory gains its jitter_sigma default; the radio keeps only the
+    # keys the document gives
+    want = dict(_EXPLICIT, trajectory=dict(_EXPLICIT["trajectory"], jitter_sigma=0.0))
+    cfg = ExperimentConfig.from_dict({"scenario": _EXPLICIT,
+                                      "mining": {"t_close": 2.0, "t_far": 4.0}})
+    assert json.dumps(cfg.to_dict()["scenario"]) == json.dumps(want)
+
+
 def test_to_dict_round_trips():
     for name in PRESETS:
         cfg = ExperimentConfig.from_dict(PRESETS[name]())
@@ -227,6 +236,41 @@ def test_tiny_preset_resolves_to_this_document():
         "baseline": {"mlp": True},
     }
     assert json.dumps(preset("tiny").to_dict()) == json.dumps(want)
+
+
+_K_GRID = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.1]
+_RESOLVED = {
+    "desk": {
+        "scenario": {"kind": "loop", "n_samples": 2000, "geometry_samples": 8865,
+                     "jitter_sigma": 0.05},
+        "encoder": {"n_init": 100, "k": 5, "k_iso": 5, "d_out": 2, "init": "smart"},
+        "mining": {"t_close": 100.0, "t_far": 290.0, "per_anchor": 2},
+        "training": {"epochs": 30, "batch_size": 64, "learning_rate": 0.0003, "beta1": 0.9,
+                     "beta2": 0.999, "eps": 1e-08, "margin": 1.0, "split_ratio": 0.7},
+        "eval": {"k_grid": _K_GRID},
+        "seeds": {"trajectory": 10451216379200822465, "init": 13757245211066428519,
+                  "mining": 17911839290282890590, "training": 8196980753821780235},
+        "baseline": {"mlp": True},
+    },
+    "default": {
+        "scenario": {"kind": "loop", "n_samples": 5910, "geometry_samples": 5910,
+                     "jitter_sigma": 0.05},
+        "encoder": {"n_init": 100, "k": 5, "k_iso": 5, "d_out": 2, "init": "smart"},
+        "mining": {"t_close": 100.0, "t_far": 290.0, "per_anchor": 1},
+        "training": {"epochs": 30, "batch_size": 64, "learning_rate": 0.001, "beta1": 0.9,
+                     "beta2": 0.999, "eps": 1e-08, "margin": 1.0, "split_ratio": 0.7},
+        "eval": {"k_grid": _K_GRID},
+        "seeds": {"trajectory": 16294208416658607535, "init": 7960286522194355700,
+                  "mining": 487617019471545679, "training": 17909611376780542444},
+        "baseline": {"mlp": True},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESOLVED))
+def test_desk_and_default_presets_resolve_to_these_documents(name):
+    # compared as JSON text, as tiny is
+    assert json.dumps(preset(name).to_dict()) == json.dumps(_RESOLVED[name])
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
