@@ -6,6 +6,13 @@ An experiment is described by a JSON document with seven sections --
 rejected, as are values of the wrong type, so a typo fails loudly instead of
 silently falling back to a default.
 
+Every section that builds a runtime dataclass is parsed by one function,
+``_section``, over that dataclass's fields: ``encoder`` (EncoderSettings),
+``mining`` (MiningConfig), ``training`` (TrainConfig), and the explicit
+scenario's ``trajectory`` (TrajectoryConfig), ``radio`` (RadioConfig) and
+``scatterers`` (ScattererSet).  A section's keys, defaults and range checks
+live in its dataclass alone.
+
 Scenario kinds:
 
 * ``loop`` -- rectangular loop sized for ``geometry_samples`` points at
@@ -16,6 +23,10 @@ Scenario kinds:
 * ``explicit`` -- trajectory waypoints, radio parameters, and scatterers
   spelled out in full.
 
+The scenario objects are built once, while the document is parsed, so a
+scenario that cannot be sampled fails there; ``scenario_objects()`` returns
+those objects.
+
 Seeds are per stage (``trajectory``, ``init``, ``mining``, ``training``).
 ``derive_seeds(root)`` expands one root seed into the four stage seeds via
 independent substreams, which is what the CLI's ``--seed-override`` uses.
@@ -25,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .evalmetrics import DEFAULT_K_GRID
 from .rng import substream
@@ -79,13 +90,6 @@ def _as_float(v, where: str) -> float:
     return float(v)
 
 
-def _as_nonnegative(v, where: str) -> float:
-    x = _as_float(v, where)
-    if x < 0.0:
-        raise ConfigError(f"{where} must be >= 0")
-    return x
-
-
 def _as_seed(v, where: str) -> int:
     # SplitMix64 reduces its seed mod 2^64: a seed outside [0, 2^64) would
     # name the same stream as one inside it
@@ -113,15 +117,24 @@ def _as_floats(v, where: str) -> list:
     return [_as_float(x, f"{where}[{i}]") for i, x in enumerate(v)]
 
 
-def _as_point_list(v, dim: int, where: str) -> list:
+def _as_point(v, dim: int, where: str) -> list:
+    if not isinstance(v, list) or len(v) != dim:
+        raise ConfigError(f"{where}: expected a {dim}-element list")
+    return [_as_float(x, f"{where}[{j}]") for j, x in enumerate(v)]
+
+
+def _as_points(v, dim: int, where: str) -> list:
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{where}: expected a non-empty list of points")
-    out = []
-    for i, p in enumerate(v):
-        if not isinstance(p, list) or len(p) != dim:
-            raise ConfigError(f"{where}[{i}]: expected a {dim}-element list")
-        out.append([_as_float(x, f"{where}[{i}][{j}]") for j, x in enumerate(p)])
-    return out
+    return [_as_point(p, dim, f"{where}[{i}]") for i, p in enumerate(v)]
+
+
+def _as_count(v, where: str) -> int:
+    # a sample count past 2^53 no longer converts to a float exactly
+    n = _as_int(v, where)
+    if not 2 <= n <= 2**53:
+        raise ConfigError(f"{where} must lie in [2, 2^53]")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -141,69 +154,50 @@ class EncoderSettings:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.init not in ("smart", "random"):
-            raise ValueError(f"init: expected 'smart' or 'random', got {self.init!r}")
+            raise ValueError(f"init must be 'smart' or 'random', got {self.init!r}")
 
 
-# Fields that no section sets: stage seeds come from the seeds section, and
-# the sampling rate from the scenario.
+# Fields that no encoder, mining or training section sets: stage seeds come
+# from the seeds section, and the sampling rate from the scenario.
 _DERIVED = ("seed", "sample_rate")
-_PARSE = {"int": _as_int, "float": _as_float, "str": _as_str}
+# Each field is type-checked by its annotation, or, for the list and tuple
+# fields, by its name.
+_PARSE = {"int": _as_int, "float": _as_float, "str": _as_str,
+          "float | None": lambda v, where: None if v is None else _as_float(v, where)}
+_LISTS = {"waypoints": lambda v, where: _as_points(v, 2, where),
+          "points": lambda v, where: _as_points(v, 3, where),
+          "bs_position": lambda v, where: tuple(_as_point(v, 3, where)),
+          "gains": _as_floats}
 
 
-def _section_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in _DERIVED}
+def _section_dict(obj, derived=_DERIVED) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in derived}
 
 
-def _section(d: dict, cls, where: str, **derived):
+def _section(d: dict, cls, where: str, required=(), **derived):
     """Build the dataclass ``cls`` from one section; absent keys keep the field defaults.
 
-    Unknown keys are rejected, and each value is type-checked by its field's
-    annotation.  The dataclass's own range checks raise ValueError naming
-    the field first, reported here as ConfigError on the dotted key.
+    Unknown keys are rejected, as are absent ``required`` ones; the fields
+    given in ``derived`` come from elsewhere in the document.  The
+    dataclass's own range checks raise ValueError, reported here as
+    ConfigError by one rule: a message that starts with "<field> must" is
+    reported on the dotted key (``training.eps must be > 0``), any other on
+    the section (``scenario.trajectory: need at least two waypoints``).
     """
-    types = {f.name: f.type for f in fields(cls) if f.name not in _DERIVED}
-    _check_keys(d, set(types), set(), where)
-    kw = {key: _PARSE[types[key]](v, f"{where}.{key}") for key, v in d.items()}
+    types = {f.name: f.type for f in fields(cls) if f.name not in derived}
+    _check_keys(d, set(types), set(required), where)
+    kw = {key: (_LISTS.get(key) or _PARSE[types[key]])(v, f"{where}.{key}")
+          for key, v in d.items()}
     try:
         return cls(**kw, **derived)
     except ValueError as exc:
-        raise ConfigError(f"{where}.{exc}") from exc
+        sep = "." if str(exc).partition(" must")[0] in types else ": "
+        raise ConfigError(f"{where}{sep}{exc}") from exc
 
 
-def _build(cls, where: str, **kw):
-    """cls(**kw), with its ValueError reported as ConfigError on the section."""
-    try:
-        return cls(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _as_count(v, where: str) -> int:
-    # a sample count past 2^53 no longer converts to a float exactly
-    n = _as_int(v, where)
-    if not 2 <= n <= 2**53:
-        raise ConfigError(f"{where} must lie in [2, 2^53]")
-    return n
-
-
-def _parse_radio(d: dict, where: str) -> dict:
-    """The RadioConfig keywords of a radio section, type-checked."""
-    _check_keys(d, {f.name for f in fields(RadioConfig)}, set(), where)
-    kw = {}
-    for key in ("n_rows", "n_cols", "n_subcarriers"):
-        if key in d:
-            kw[key] = _as_int(d[key], f"{where}.{key}")
-    for key in ("f_c", "bandwidth", "antenna_spacing"):
-        if key in d and d[key] is not None:
-            kw[key] = _as_float(d[key], f"{where}.{key}")
-    if "bs_position" in d:
-        (pos,) = _as_point_list([d["bs_position"]], 3, f"{where}.bs_position")
-        kw["bs_position"] = tuple(pos)
-    return kw
-
-
-def _parse_scenario(d: dict) -> dict:
-    """The scenario section, type-checked; its objects are built by _scenario_objects."""
+def _parse_scenario(d: dict, seed: int):
+    """The scenario section, resolved, and its (TrajectoryConfig, RadioConfig,
+    ScattererSet, n_samples or None); ``seed`` seeds the trajectory."""
     if not isinstance(d, dict):
         raise ConfigError("scenario: expected an object")
     kind = _as_str(d.get("kind", "loop"), "scenario.kind")
@@ -211,43 +205,27 @@ def _parse_scenario(d: dict) -> dict:
         _check_keys(d, {"kind", "n_samples", "geometry_samples", "jitter_sigma"},
                     {"n_samples"}, "scenario")
         n = _as_count(d["n_samples"], "scenario.n_samples")
-        return {"kind": "loop", "n_samples": n,
-                "geometry_samples": _as_count(d.get("geometry_samples", n),
-                                              "scenario.geometry_samples"),
-                "jitter_sigma": _as_nonnegative(d.get("jitter_sigma", 0.05),
-                                                "scenario.jitter_sigma")}
-    if kind == "explicit":
-        _check_keys(d, {"kind", "trajectory", "radio", "scatterers"},
-                    {"trajectory", "radio", "scatterers"}, "scenario")
-        traj = d["trajectory"]
-        _check_keys(traj, {"waypoints", "speed", "sample_rate", "jitter_sigma"},
-                    {"waypoints", "speed", "sample_rate"}, "scenario.trajectory")
-        trajectory = {
-            "waypoints": _as_point_list(traj["waypoints"], 2, "scenario.trajectory.waypoints"),
-            "speed": _as_float(traj["speed"], "scenario.trajectory.speed"),
-            "sample_rate": _as_float(traj["sample_rate"], "scenario.trajectory.sample_rate"),
-            "jitter_sigma": _as_nonnegative(traj.get("jitter_sigma", 0.0),
-                                            "scenario.trajectory.jitter_sigma"),
-        }
-        _parse_radio(d["radio"], "scenario.radio")
-        scat = d["scatterers"]
-        _check_keys(scat, {"points", "gains"}, {"points", "gains"}, "scenario.scatterers")
-        return {"kind": "explicit", "trajectory": trajectory, "radio": dict(d["radio"]),
-                "scatterers": {"points": _as_point_list(scat["points"], 3,
-                                                        "scenario.scatterers.points"),
-                               "gains": _as_floats(scat["gains"], "scenario.scatterers.gains")}}
-    raise ConfigError(f"scenario.kind: expected 'loop' or 'explicit', got {kind!r}")
-
-
-def _scenario_objects(sc: dict, seed: int):
-    """(TrajectoryConfig, RadioConfig, ScattererSet, n_samples or None) of a parsed scenario."""
-    if sc["kind"] == "loop":
-        n = sc["n_samples"]
-        return (*loop_scenario(n, seed=seed, jitter_sigma=sc["jitter_sigma"],
-                               geometry_samples=sc["geometry_samples"]), n)
-    traj = _build(TrajectoryConfig, "scenario.trajectory", **sc["trajectory"], seed=seed)
-    radio = _build(RadioConfig, "scenario.radio", **_parse_radio(sc["radio"], "scenario.radio"))
-    return traj, radio, _build(ScattererSet, "scenario.scatterers", **sc["scatterers"]), None
+        geo = _as_count(d.get("geometry_samples", n), "scenario.geometry_samples")
+        jitter = _as_float(d.get("jitter_sigma", 0.05), "scenario.jitter_sigma")
+        if jitter < 0.0:
+            raise ConfigError("scenario.jitter_sigma must be >= 0")
+        sc = {"kind": "loop", "n_samples": n, "geometry_samples": geo, "jitter_sigma": jitter}
+        return sc, (*loop_scenario(n, seed, jitter, geo), n)
+    if kind != "explicit":
+        raise ConfigError(f"scenario.kind: expected 'loop' or 'explicit', got {kind!r}")
+    _check_keys(d, {"kind", "trajectory", "radio", "scatterers"},
+                {"trajectory", "radio", "scatterers"}, "scenario")
+    traj = _section(d["trajectory"], TrajectoryConfig, "scenario.trajectory",
+                    ("waypoints", "speed", "sample_rate"), seed=seed)
+    radio = _section(d["radio"], RadioConfig, "scenario.radio")
+    scat = _section(d["scatterers"], ScattererSet, "scenario.scatterers", ("points", "gains"))
+    # the radio keeps only the keys the document gives, and a null
+    # antenna_spacing (half a wavelength) stays null
+    sc = {"kind": "explicit", "trajectory": _section_dict(traj, ("seed",)),
+          "radio": {key: v if v is None else getattr(radio, key)
+                    for key, v in d["radio"].items()},
+          "scatterers": _section_dict(scat)}
+    return sc, (traj, radio, scat, None)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +247,7 @@ class ExperimentConfig:
     k_grid: tuple
     seeds: dict
     baseline_mlp: bool
+    _objects: tuple = field(repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -276,16 +255,13 @@ class ExperimentConfig:
     def from_dict(doc: dict) -> "ExperimentConfig":
         _check_keys(doc, {"scenario", "encoder", "mining", "training", "eval", "seeds",
                           "baseline"}, {"scenario"}, "config")
-        scenario = _parse_scenario(doc["scenario"])
-        encoder = _section(doc.get("encoder", {}), EncoderSettings, "encoder")
-
         sd = doc.get("seeds", derive_seeds(0))
         _check_keys(sd, set(STAGES), set(STAGES), "seeds")
         seeds = {stage: _as_seed(sd[stage], f"seeds.{stage}") for stage in STAGES}
 
-        # every scenario object is built now, so a scenario that cannot be
-        # sampled fails here and not in a later verb
-        traj, _, _, n = _scenario_objects(scenario, seeds["trajectory"])
+        scenario, objects = _parse_scenario(doc["scenario"], seeds["trajectory"])
+        traj, _, _, n = objects
+        encoder = _section(doc.get("encoder", {}), EncoderSettings, "encoder")
         rate = traj.sample_rate
         mining = _section(doc.get("mining", {}), MiningConfig, "mining",
                           sample_rate=rate, seed=seeds["mining"])
@@ -316,7 +292,7 @@ class ExperimentConfig:
 
         return ExperimentConfig(scenario=scenario, encoder=encoder, mining=mining,
                                 training=training, k_grid=k_grid, seeds=seeds,
-                                baseline_mlp=baseline_mlp)
+                                baseline_mlp=baseline_mlp, _objects=objects)
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
@@ -353,8 +329,10 @@ class ExperimentConfig:
     # -- realization -------------------------------------------------------
 
     def scenario_objects(self):
-        """Build (TrajectoryConfig, RadioConfig, ScattererSet, n_samples)."""
-        return _scenario_objects(self.scenario, self.seeds["trajectory"])
+        """The (TrajectoryConfig, RadioConfig, ScattererSet, n_samples) built at
+        parse time, the same objects on every call; n_samples is None for an
+        explicit scenario."""
+        return self._objects
 
     def sample_rate(self) -> float:
         """The sampling rate implied by the scenario, samples per second."""

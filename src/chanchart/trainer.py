@@ -100,7 +100,7 @@ def split_dataset(n: int, ratio: float, seed: int):
     meaningful on the train positions.
     """
     if n < 2:
-        raise ValueError("need at least two samples to split")
+        raise DataError("need at least two samples to split")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
     perm = np.arange(n)

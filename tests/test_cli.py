@@ -533,6 +533,8 @@ def _crafted_data(tmp_path, n: int, zero: bool) -> str:
 
 
 @pytest.mark.parametrize("verb, n, zero, detail", [
+    ("train", 1, False, "need at least two samples to split"),
+    ("eval", 1, False, "need at least two samples to split"),
     ("train", 4, False, "mining produced no triplets"),
     ("train", 61, True, "all training triplets degenerate"),
     ("eval", 61, True, "fewer than 3 chartable samples"),

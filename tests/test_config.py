@@ -121,7 +121,7 @@ def test_type_checks_reject_bools_and_strings():
 
 
 def test_value_range_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^encoder.init must be 'smart' or 'random', got 'magic'$"):
         ExperimentConfig.from_dict(_minimal_doc(encoder={"init": "magic"}))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(
@@ -171,10 +171,20 @@ _EXPLICIT = {
      "^scenario.trajectory: speed and sample_rate must be positive"),
     ("trajectory", "waypoints", [[0.0, 0.0]],
      "^scenario.trajectory: need at least two waypoints"),
+    # null is half a wavelength for antenna_spacing only; f_c and bandwidth have no null
+    ("radio", "f_c", None, r"^scenario.radio.f_c: expected a finite number, got None$"),
+    ("radio", "bandwidth", None,
+     r"^scenario.radio.bandwidth: expected a finite number, got None$"),
+    ("radio", "f_c", 0.0, r"^scenario.radio: f_c and bandwidth must be positive$"),
+    ("radio", "antenna_spacing", -1.0, r"^scenario.radio.antenna_spacing must be positive$"),
+    ("radio", "n_rows", 0, r"^scenario.radio: array and subcarrier counts must be >= 1$"),
+    ("radio", "n_cols", 2.0, r"^scenario.radio.n_cols: expected an integer, got 2.0$"),
+    ("radio", "bs_position", [1.0, 2.0],
+     r"^scenario.radio.bs_position: expected a 3-element list$"),
 ])
 def test_bad_values_rejected_at_parse_time(section, key, value, match):
     # json.loads accepts NaN and Infinity, so a config file can carry them
-    if section in ("trajectory", "scatterers"):
+    if section in ("trajectory", "radio", "scatterers"):
         doc = {"scenario": json.loads(json.dumps(_EXPLICIT))}
         doc["scenario"][section][key] = value
     elif section == "scenario":
@@ -355,10 +365,27 @@ def test_explicit_scenario_round_trip():
     assert cfg.sample_rate() == 2.0
     assert generate_trajectory(traj).shape[0] == 17
 
+    # the objects built at parse time, not a fresh set per call
+    assert all(a is b for a, b in zip(cfg.scenario_objects(), (traj, radio, scat)))
+
     bad = json.loads(json.dumps(doc))
     bad["scenario"]["radio"]["n_rows"] = 0
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(bad)
+
+
+def test_explicit_radio_resolves_the_keys_it_gives():
+    # an integer for a float field resolves to a float; a null antenna
+    # spacing stays null in the document and is half a wavelength in the radio
+    doc = {"scenario": json.loads(json.dumps(_EXPLICIT)),
+           "mining": {"t_close": 2.0, "t_far": 4.0}}
+    doc["scenario"]["radio"].update(f_c=3500000000, antenna_spacing=None)
+    cfg = ExperimentConfig.from_dict(doc)
+    assert json.dumps(cfg.to_dict()["scenario"]["radio"]) == (
+        '{"n_rows": 2, "n_cols": 2, "n_subcarriers": 3, "f_c": 3500000000.0, '
+        '"antenna_spacing": null}')
+    radio = cfg.scenario_objects()[1]
+    assert radio.f_c == 3.5e9 and radio.antenna_spacing == radio.wavelength / 2.0
 
 
 def test_mining_and_train_config_builders():
