@@ -45,6 +45,11 @@ def _check_m(model, m: int) -> None:
         raise DimensionError(f"model expects M={model.m} channel entries, dataset has M={m}")
 
 
+def _check_2d(d_out: int) -> None:
+    if d_out != 2:
+        raise DimensionError(f"chart export needs a 2-D chart, model has d_out={d_out}")
+
+
 @contextlib.contextmanager
 def _dataset(cfg: ExperimentConfig, data_path: str, check):
     """The dataset as a ChannelSet whose channels are read from the file by index.
@@ -156,8 +161,7 @@ def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
 
     def check(n: int, m: int) -> None:
         _check_m(model, m)
-        if model.d_out != 2:
-            raise DimensionError(f"chart export needs a 2-D chart, model has d_out={model.d_out}")
+        _check_2d(model.d_out)
 
     with _dataset(cfg, data_path, check) as cs:
         chart, ok = encoder.chart_batch(model, cs.channels)
@@ -171,6 +175,7 @@ def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
 
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: str) -> int:
+    _check_2d(cfg.encoder.d_out)  # every arm's chart is exported
     os.makedirs(out_dir, exist_ok=True)
     track, radio, scat, rate = _scenario(cfg)
     cs = synthgen.synthesize_channels(track, radio, scat, sample_rate=rate)

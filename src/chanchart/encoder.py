@@ -8,11 +8,11 @@ one, and output the weighted average of the corresponding chart anchors
 anchor matrix Z are trainable.  The whole map is invariant to scaling and
 global phase of the input by construction.
 
-Backward passes are hand-derived reverse mode over batches of rows; the
-per-sample ``forward``, ``backward``, ``mlp_forward`` and ``mlp_backward``
-run them on a batch of one.  The batched backward multiplies only the live
-rows -- chartable rows whose output gradient is nonzero -- into the
-dictionary gradients: every other row would add exact zeros.
+Each encoder has one forward and one hand-derived reverse-mode backward,
+both over batches of rows; one channel is charted as a batch of one.  The
+hybrid backward multiplies only the live rows -- chartable rows whose
+output gradient is nonzero -- into the dictionary gradients: every other
+row would add exact zeros.
 
 Both parameter classes implement the one encoder interface that the
 trainer, the chart code, the parameter count and the model writer use:
@@ -36,10 +36,6 @@ import numpy as np
 from .metricspace import distance_matrix
 from .isomap import isomap
 from .rng import SplitMix64
-
-
-class DegenerateInputError(ValueError):
-    """Input that the encoder cannot chart (all kept correlations zero, or zero vector)."""
 
 
 @dataclass
@@ -84,17 +80,6 @@ class EncoderParams:
 
     def backward_rows(self, cache, gz: np.ndarray, out=None):
         return backward_batch(self, cache, gz, out)
-
-
-@dataclass
-class ForwardCache:
-    """One charted channel: its one-row batch cache, moduli, kept indices, normalizer, code."""
-
-    batch: BatchCache
-    b: np.ndarray
-    kept: np.ndarray
-    s: float
-    d: np.ndarray
 
 
 @dataclass
@@ -149,35 +134,6 @@ def _top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
     return above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= need))
 
 
-def forward(p: EncoderParams, h: np.ndarray):
-    """Chart one channel vector; returns (z, cache).
-
-    A batch-of-one ``forward_batch``.  Raises DegenerateInputError when every
-    kept correlation modulus is zero (the normalizer would vanish).  The
-    correlation is evaluated with real products and the modulus as
-    sqrt(re^2 + im^2): under those operations, exact power-of-two input
-    scalings and quarter-turn phase rotations reproduce the output
-    bit-for-bit.
-    """
-    z, c = forward_batch(p, np.asarray(h, dtype=np.complex128)[None, :])
-    if not c.ok[0]:
-        raise DegenerateInputError("degenerate correlation: channel uncorrelated with every kept column")
-    return z[0], ForwardCache(batch=c, b=c.b[0], kept=np.flatnonzero(c.kept_mask[0]),
-                              s=float(c.s[0]), d=c.d[0])
-
-
-def backward(p: EncoderParams, cache: ForwardCache, h: np.ndarray, gz: np.ndarray):
-    """Gradients of (gz . z) w.r.t. (d_re, d_im, z) for one forward pass.
-
-    A batch-of-one ``backward_batch``; ``h`` is the charted channel, which
-    the cache already references.  Gradient flows only through the kept
-    indices; the modulus subgradient at zero is zero.  Returns dense
-    (m, n_init), (m, n_init), (d_out, n_init) arrays, zero outside the kept
-    columns.
-    """
-    return backward_batch(p, cache.batch, np.asarray(gz, dtype=np.float64)[None, :])
-
-
 @dataclass
 class BatchCache:
     """Intermediates of a batched hybrid forward; rows with ok=False are degenerate.
@@ -206,9 +162,11 @@ def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     The rows are gathered one plane at a time, as a contiguous real array
     (matmul on strided real/imag views bypasses BLAS): the real plane's two
     products are formed and the plane freed before the imaginary plane is
-    gathered, so a block never holds both.  Degenerate rows chart to zero
-    and are flagged in cache.ok instead of raising, so callers can skip and
-    count them.
+    gathered, so a block never holds both.  With real products and the
+    modulus as sqrt(re^2 + im^2), exact power-of-two input scalings and
+    quarter-turn phase rotations reproduce the output bit-for-bit.
+    Degenerate rows chart to zero and are flagged in cache.ok instead of
+    raising, so callers can skip and count them.
     """
     channels = np.asarray(channels, dtype=np.complex128)
     rows = slice(None) if index is None else index
@@ -273,13 +231,7 @@ def smart_atoms(n: int, n_init: int, seed: int) -> np.ndarray:
 
 def init_smart(cs, n_init: int, k_iso: int, k: int, d_out: int, seed: int) -> EncoderParams:
     """Dictionary = a seeded random subset of collected channels; anchors = its Isomap chart."""
-    return init_from_atoms(cs.channels[smart_atoms(cs.channels.shape[0], n_init, seed)],
-                           k_iso, k, d_out)
-
-
-def init_from_atoms(atoms: np.ndarray, k_iso: int, k: int, d_out: int) -> EncoderParams:
-    """Hybrid parameters with the (n_init, M) channel rows ``atoms`` as dictionary
-    columns and their Isomap chart as anchors."""
+    atoms = cs.channels[smart_atoms(cs.channels.shape[0], n_init, seed)]
     emb = isomap(distance_matrix(atoms), k_iso, d_out)
     d = atoms.T
     return EncoderParams(
@@ -315,24 +267,6 @@ def mlp_init(m: int, seed: int, hidden=MLP_HIDDEN, d_out: int = 2) -> MlpParams:
     for fan_in, fan_out in zip(dims, dims[1:]):
         weights.append(_xavier(rng, (fan_out, fan_in), fan_in, fan_out))
     return MlpParams(weights=weights)
-
-
-def mlp_forward(p: MlpParams, h: np.ndarray):
-    """Chart one channel through the MLP; returns (z, activations).
-
-    A batch-of-one ``mlp_forward_batch``; a zero channel raises
-    DegenerateInputError.
-    """
-    z, activations, ok = mlp_forward_batch(p, np.asarray(h, dtype=np.complex128)[None, :])
-    if not ok[0]:
-        raise DegenerateInputError("zero channel cannot be normalized")
-    return z[0], activations
-
-
-def mlp_backward(p: MlpParams, activations: list, gz: np.ndarray):
-    """Gradients of (gz . z) w.r.t. each weight matrix: a batch-of-one ``mlp_backward_batch``."""
-    return mlp_backward_batch(p, activations, np.asarray(gz, dtype=np.float64)[None, :],
-                              np.ones(1, dtype=bool))
 
 
 def mlp_forward_batch(p: MlpParams, channels: np.ndarray):

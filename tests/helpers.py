@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from chanchart import evalmetrics
-from chanchart.encoder import DegenerateInputError
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import SPEED_OF_LIGHT
 from chanchart.triplet import TripletIndex
@@ -291,12 +290,16 @@ def hard_threshold(v: np.ndarray, k: int):
     return out, np.flatnonzero(mask)
 
 
+class DegenerateInputError(ValueError):
+    """A channel the oracles cannot chart: every kept correlation zero, or a zero vector."""
+
+
 def forward_oracle(p, h: np.ndarray):
     """One channel through the hybrid encoder with matvecs; returns (z, cache).
 
     Raises DegenerateInputError when every kept correlation modulus is zero.
-    This was the package's per-sample ``forward`` before it became a
-    batch-of-one ``forward_batch``.
+    This was the package's per-sample ``forward`` before the encoder ran
+    every channel as a batch.
     """
     h = np.asarray(h, dtype=np.complex128)
     h_re = np.ascontiguousarray(h.real)

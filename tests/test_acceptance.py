@@ -15,6 +15,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import conftest
 from helpers import (
@@ -30,13 +31,13 @@ from chanchart.config import preset
 from chanchart.encoder import (
     EncoderParams,
     MlpParams,
-    backward,
+    backward_batch,
     count_params,
-    forward,
+    forward_batch,
     init_random,
     init_smart,
-    mlp_backward,
-    mlp_forward,
+    mlp_backward_batch,
+    mlp_forward_batch,
     mlp_init,
 )
 from chanchart.evalmetrics import (
@@ -141,14 +142,14 @@ def test_criterion_3_bitwise_chart_invariance():
         k = 1 + rng.randbelow(n_init)
         params = init_random(m, n_init, k, 2, seed=rng.randbelow(1 << 30))
         h = _random_channel(rng, m)
-        z1, cache = forward(params, h)
+        (z1,), cache = forward_batch(params, h[None, :])
         if k < n_init:
-            b_sorted = np.sort(cache.b)[::-1]
+            b_sorted = np.sort(cache.b[0])[::-1]
             if not b_sorted[k - 1] > b_sorted[k]:
                 ties += 1
                 continue
         factor = (2.0 ** (rng.randbelow(13) - 6)) * (1, 1j, -1, -1j)[rng.randbelow(4)]
-        z2, _ = forward(params, factor * h)
+        (z2,), _ = forward_batch(params, (factor * h)[None, :])
         if z1.tobytes() == z2.tobytes():
             exact += 1
     ok_bitwise = exact == 1000 and ties == 0
@@ -160,10 +161,10 @@ def test_criterion_3_bitwise_chart_invariance():
         k = 1 + rng.randbelow(n_init)
         params = init_random(m, n_init, k, 2, seed=rng.randbelow(1 << 30))
         h = _random_channel(rng, m)
-        z1, _ = forward(params, h)
+        (z1,), _ = forward_batch(params, h[None, :])
         factor = math.exp(2.0 * (rng.uniform() - 0.5)) * cmath.exp(
             2j * math.pi * rng.uniform())
-        z2, _ = forward(params, factor * h)
+        (z2,), _ = forward_batch(params, (factor * h)[None, :])
         worst = max(worst, relative_error(z1, z2))
     ok_cont = worst < 1e-12
 
@@ -188,25 +189,25 @@ def _hybrid_instance_error(seed: int):
     params = init_random(m, n_init, k, 2, seed=rng.randbelow(1 << 30))
     chans = [_random_channel(rng, m) for _ in range(3)]
 
-    outs = [forward(params, h) for h in chans]
-    zs = [z for z, _ in outs]
+    outs = [forward_batch(params, h[None, :]) for h in chans]
+    zs = [z[0] for z, _ in outs]
     caches = [c for _, c in outs]
     loss, d_plus, d_minus = triplet_loss(zs[0], zs[1], zs[2], margin)
     if loss < 1e-3 or d_plus < 1e-4 or d_minus < 1e-4:
         return None
     for cache in caches:
         if k < n_init:
-            b_sorted = np.sort(cache.b)[::-1]
+            b_sorted = np.sort(cache.b[0])[::-1]
             if b_sorted[k - 1] - b_sorted[k] < 1e-3:
                 return None
-        if float(np.min(cache.b[cache.kept])) < 1e-4:
+        if float(np.min(cache.b[0][cache.kept_mask[0]])) < 1e-4:
             return None
 
     gz, gzp, gzm = triplet_loss_grad(zs[0], zs[1], zs[2], margin)
     acc = [np.zeros_like(params.d_re), np.zeros_like(params.d_im),
            np.zeros_like(params.z)]
-    for h, cache, g in zip(chans, caches, (gz, gzp, gzm)):
-        gd_re, gd_im, gz_mat = backward(params, cache, h, g)
+    for cache, g in zip(caches, (gz, gzp, gzm)):
+        gd_re, gd_im, gz_mat = backward_batch(params, cache, g[None, :])
         acc[0] += gd_re
         acc[1] += gd_im
         acc[2] += gz_mat
@@ -218,9 +219,7 @@ def _hybrid_instance_error(seed: int):
         q = EncoderParams(d_re=vec[:nd].reshape(m, n_init),
                           d_im=vec[nd:2 * nd].reshape(m, n_init),
                           z=vec[2 * nd:].reshape(2, n_init), k=k)
-        za, _ = forward(q, chans[0])
-        zp, _ = forward(q, chans[1])
-        zm, _ = forward(q, chans[2])
+        za, zp, zm = (forward_batch(q, h[None, :])[0][0] for h in chans)
         return triplet_loss(za, zp, zm, margin)[0]
 
     vec0 = np.concatenate([params.d_re.reshape(-1), params.d_im.reshape(-1),
@@ -251,9 +250,9 @@ def _mlp_instance_error(seed: int):
         for pre in _mlp_pre_activations(params, h):
             if float(np.min(np.abs(pre))) < 1e-4:
                 return None
-    outs = [mlp_forward(params, h) for h in chans]
-    zs = [z for z, _ in outs]
-    acts = [a for _, a in outs]
+    outs = [mlp_forward_batch(params, h[None, :]) for h in chans]
+    zs = [z[0] for z, _, _ in outs]
+    acts = [a for _, a, _ in outs]
     loss, d_plus, d_minus = triplet_loss(zs[0], zs[1], zs[2], margin)
     if loss < 1e-3 or d_plus < 1e-4 or d_minus < 1e-4:
         return None
@@ -261,7 +260,8 @@ def _mlp_instance_error(seed: int):
     gz, gzp, gzm = triplet_loss_grad(zs[0], zs[1], zs[2], margin)
     acc = [np.zeros_like(w) for w in params.weights]
     for act, g in zip(acts, (gz, gzp, gzm)):
-        for i, grad in enumerate(mlp_backward(params, act, g)):
+        for i, grad in enumerate(mlp_backward_batch(params, act, g[None, :],
+                                                    np.ones(1, dtype=bool))):
             acc[i] += grad
     analytic = np.concatenate([a.reshape(-1) for a in acc])
 
@@ -274,9 +274,7 @@ def _mlp_instance_error(seed: int):
             ws.append(vec[off:off + size].reshape(shape))
             off += size
         q = MlpParams(weights=ws)
-        za, _ = mlp_forward(q, chans[0])
-        zp, _ = mlp_forward(q, chans[1])
-        zm, _ = mlp_forward(q, chans[2])
+        za, zp, zm = (mlp_forward_batch(q, h[None, :])[0][0] for h in chans)
         return triplet_loss(za, zp, zm, margin)[0]
 
     vec0 = np.concatenate([w.reshape(-1) for w in params.weights])
@@ -371,6 +369,7 @@ def test_criterion_6_metric_equivalence():
 # 7. desk-scale training study
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_training_study():
     base = preset("desk")
     all_ok = True

@@ -291,6 +291,14 @@ def test_chart_requires_2d_model(tmp_path, capsys):
                  "--out", str(tmp_path / "chart")])
     assert code == 3
     assert "d_out=3" in _stderr_error(capsys)["detail"]
+    # compare exports every arm's chart, so it refuses before writing anything
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "dimension", "detail": "chart export needs a "
+                                  "2-D chart, model has d_out=3"}
+    assert not out.exists()
 
 
 def test_diverging_training_exits_2_with_one_json_line(tmp_path, capsys):
@@ -539,12 +547,15 @@ def _crafted_data(tmp_path, n: int, zero: bool) -> str:
     ("train", 61, True, "all training triplets degenerate"),
     ("eval", 61, True, "fewer than 3 chartable samples"),
     ("init", 61, True, "zero-norm channel row at index 0"),
+    ("eval", 10, False, "K=2 outside [1, 1] for n=3"),
 ])
 def test_dataset_the_pipeline_cannot_compute_on_exits_5(tmp_path, capsys, verb, n, zero,
                                                         detail):
-    # _small_doc's windows need a 5-sample training split: 4 samples give 3
-    init = "smart" if verb == "init" else "random"
-    cfg = _write_doc(tmp_path, _small_doc(init=init))
+    # _small_doc's windows need a 5-sample training split: 4 samples give 3;
+    # 10 samples hold out 3, for which K = round(0.6 * 3) = 2 exceeds (2n - 2) // 3
+    doc = _small_doc(init="smart" if verb == "init" else "random")
+    doc["eval"]["k_grid"] = [0.6]
+    cfg = _write_doc(tmp_path, doc)
     data = _crafted_data(tmp_path, n, zero)
     model = str(tmp_path / "model.bin")
     fileio.write_model(model, encoder.init_random(16, 12, 3, 2, seed=1))

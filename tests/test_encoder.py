@@ -9,21 +9,16 @@ import pytest
 
 from chanchart.encoder import (
     CHART_ROWS,
-    DegenerateInputError,
     EncoderParams,
     MlpParams,
     _top_k_mask,
-    backward,
     backward_batch,
     chart_batch,
     count_params,
-    forward,
     forward_batch,
     init_random,
     init_smart,
-    mlp_backward,
     mlp_backward_batch,
-    mlp_forward,
     mlp_forward_batch,
     mlp_init,
 )
@@ -109,24 +104,24 @@ def test_forward_hand_case_k1():
     p = EncoderParams(d_re=np.eye(2), d_im=np.zeros((2, 2)),
                       z=np.array([[3.0, 5.0], [4.0, 6.0]]), k=1)
     h = np.array([2.0 + 0.0j, 1.0 + 1.0j])
-    z, cache = forward(p, h)
+    z, cache = forward_batch(p, h[None, :])
     # moduli are [2, sqrt(2)]; k=1 keeps index 0; d = [1, 0]; z = Z[:, 0]
-    assert np.array_equal(cache.b, [2.0, math.sqrt(2.0)])
-    assert cache.kept.tolist() == [0]
-    assert cache.s == 2.0
-    assert z.tolist() == [3.0, 4.0]
+    assert np.array_equal(cache.b[0], [2.0, math.sqrt(2.0)])
+    assert cache.kept_mask[0].tolist() == [True, False]
+    assert cache.s[0] == 2.0
+    assert z[0].tolist() == [3.0, 4.0]
 
 
 def test_forward_hand_case_k2():
     p = EncoderParams(d_re=np.eye(2), d_im=np.zeros((2, 2)),
                       z=np.array([[3.0, 5.0], [4.0, 6.0]]), k=2)
     h = np.array([2.0 + 0.0j, 1.0 + 1.0j])
-    z, cache = forward(p, h)
+    (z,), cache = forward_batch(p, h[None, :])
     s = 2.0 + math.sqrt(2.0)
     d0, d1 = 2.0 / s, math.sqrt(2.0) / s
     assert abs(z[0] - (3.0 * d0 + 5.0 * d1)) < 1e-15
     assert abs(z[1] - (4.0 * d0 + 6.0 * d1)) < 1e-15
-    assert abs(cache.d.sum() - 1.0) < 1e-15  # L1-normalized sparse code
+    assert abs(cache.d[0].sum() - 1.0) < 1e-15  # L1-normalized sparse code
 
 
 def test_forward_weights_sum_to_one():
@@ -134,18 +129,10 @@ def test_forward_weights_sum_to_one():
     rng = SplitMix64(77)
     for _ in range(20):
         h = rng.normals(12) + 1j * rng.normals(12)
-        _, cache = forward(p, h)
-        assert cache.kept.size == 4
-        assert abs(cache.d.sum() - 1.0) < 1e-12
-        assert np.all(cache.d >= 0.0)
-
-
-def test_forward_degenerate_raises():
-    # dictionary lives in the first coordinate; h in the second
-    p = EncoderParams(d_re=np.array([[1.0, 2.0], [0.0, 0.0]]),
-                      d_im=np.zeros((2, 2)), z=np.ones((2, 2)), k=1)
-    with pytest.raises(DegenerateInputError):
-        forward(p, np.array([0.0 + 0.0j, 5.0]))
+        _, cache = forward_batch(p, h[None, :])
+        assert np.count_nonzero(cache.kept_mask[0]) == 4
+        assert abs(cache.d[0].sum() - 1.0) < 1e-12
+        assert np.all(cache.d[0] >= 0.0)
 
 
 def test_forward_scale_phase_invariance_continuous():
@@ -155,8 +142,8 @@ def test_forward_scale_phase_invariance_continuous():
         h = rng.normals(16) + 1j * rng.normals(16)
         alpha = rng.uniform() * 4.0 + 0.1
         phi = rng.uniform() * 2.0 * math.pi
-        z0, _ = forward(p, h)
-        z1, _ = forward(p, alpha * np.exp(1j * phi) * h)
+        z0, _ = forward_batch(p, h[None, :])
+        z1, _ = forward_batch(p, (alpha * np.exp(1j * phi) * h)[None, :])
         assert relative_error(z0, z1) < 1e-12
 
 
@@ -170,8 +157,8 @@ def test_forward_scale_phase_invariance_bitwise():
         h = rng.normals(16) + 1j * rng.normals(16)
         alpha = 2.0 ** (int(rng.randbelow(13)) - 6)
         unit = units[int(rng.randbelow(4))]
-        z0, _ = forward(p, h)
-        z1, _ = forward(p, alpha * unit * h)
+        z0, _ = forward_batch(p, h[None, :])
+        z1, _ = forward_batch(p, (alpha * unit * h)[None, :])
         assert np.array_equal(z0, z1)
 
 
@@ -207,15 +194,6 @@ def test_forward_batch_bitwise_invariance():
 # hybrid gradients
 
 
-def _loss_through_forward(p_template: EncoderParams, h, g):
-    def wrap(arrs):
-        d_re, d_im, z = arrs
-        p = EncoderParams(d_re=d_re, d_im=d_im, z=z, k=p_template.k)
-        out, _ = forward(p, h)
-        return float(np.dot(g, out))
-    return wrap
-
-
 def test_backward_matches_finite_differences():
     for seed in range(10):
         m, n_init, k = 6 + seed % 4, 5, 2
@@ -223,15 +201,15 @@ def test_backward_matches_finite_differences():
         rng = SplitMix64(seed + 1000)
         h = rng.normals(m) + 1j * rng.normals(m)
         g = rng.normals(2)
-        _, cache = forward(p, h)
-        gd_re, gd_im, gz = backward(p, cache, h, g)
+        _, cache = forward_batch(p, h[None, :])
+        gd_re, gd_im, gz = backward_batch(p, cache, g[None, :])
 
         def loss(d_re=None, d_im=None, z=None):
             q = EncoderParams(d_re=p.d_re if d_re is None else d_re,
                               d_im=p.d_im if d_im is None else d_im,
                               z=p.z if z is None else z, k=p.k)
-            out, _ = forward(q, h)
-            return float(np.dot(g, out))
+            out, _ = forward_batch(q, h[None, :])
+            return float(np.dot(g, out[0]))
 
         fd_re = central_difference(lambda a: loss(d_re=a), p.d_re.copy())
         fd_im = central_difference(lambda a: loss(d_im=a), p.d_im.copy())
@@ -433,26 +411,20 @@ def test_init_random_bounds_and_determinism():
 def test_mlp_forward_hand_case():
     w = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     p = MlpParams(weights=[w])
-    z, _ = mlp_forward(p, np.array([3.0 + 0.0j, 0.0 + 4.0j]))
+    z, _, _ = mlp_forward_batch(p, np.array([[3.0 + 0.0j, 0.0 + 4.0j]]))
     # input stack [3,0,0,4] normalizes to [.6,0,0,.8]
-    assert np.array_equal(z, [0.6, 0.8])
+    assert np.array_equal(z[0], [0.6, 0.8])
 
 
 def test_mlp_forward_scale_invariant_only():
     p = mlp_init(8, seed=3, hidden=(6, 4))
     rng = SplitMix64(4)
-    h = rng.normals(8) + 1j * rng.normals(8)
-    z0, _ = mlp_forward(p, h)
-    z1, _ = mlp_forward(p, 3.7 * h)  # positive scaling is removed by the norm
+    h = (rng.normals(8) + 1j * rng.normals(8))[None, :]
+    z0, _, _ = mlp_forward_batch(p, h)
+    z1, _, _ = mlp_forward_batch(p, 3.7 * h)  # positive scaling is removed by the norm
     assert relative_error(z0, z1) < 1e-12
-    z2, _ = mlp_forward(p, h * np.exp(0.7j))  # but phase is not
+    z2, _, _ = mlp_forward_batch(p, h * np.exp(0.7j))  # but phase is not
     assert relative_error(z0, z2) > 1e-6
-
-
-def test_mlp_zero_input_raises():
-    p = mlp_init(4, seed=0, hidden=(3,))
-    with pytest.raises(DegenerateInputError):
-        mlp_forward(p, np.zeros(4, dtype=np.complex128))
 
 
 def test_mlp_backward_matches_finite_differences():
@@ -460,16 +432,16 @@ def test_mlp_backward_matches_finite_differences():
         m = 5 + seed
         p = mlp_init(m, seed=seed, hidden=(7, 4))
         rng = SplitMix64(seed + 50)
-        h = rng.normals(m) + 1j * rng.normals(m)
+        h = (rng.normals(m) + 1j * rng.normals(m))[None, :]
         g = rng.normals(2)
-        _, acts = mlp_forward(p, h)
-        grads = mlp_backward(p, acts, g)
+        _, acts, _ = mlp_forward_batch(p, h)
+        grads = mlp_backward_batch(p, acts, g[None, :], np.ones(1, dtype=bool))
         for layer in range(len(p.weights)):
             def loss(w, layer=layer):
                 weights = [x.copy() for x in p.weights]
                 weights[layer] = w
-                out, _ = mlp_forward(MlpParams(weights=weights), h)
-                return float(np.dot(g, out))
+                out, _, _ = mlp_forward_batch(MlpParams(weights=weights), h)
+                return float(np.dot(g, out[0]))
             fd = central_difference(loss, p.weights[layer].copy())
             assert relative_error(grads[layer], fd) < 1e-6
 
