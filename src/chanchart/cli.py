@@ -74,14 +74,9 @@ def _split(cfg: ExperimentConfig, n: int):
 
 
 def _scenario(cfg: ExperimentConfig):
-    """The scenario's track, radio, scatterers and sampling rate; the track is
-    checked against the expected sample count."""
-    traj, radio, scat, n_expect = cfg.scenario_objects()
-    track = synthgen.generate_trajectory(traj)
-    if n_expect is not None and track.shape[0] != n_expect:
-        raise DimensionError(f"scenario produced {track.shape[0]} samples, "
-                             f"expected {n_expect}")
-    return track, radio, scat, traj.sample_rate
+    """The scenario's track, radio, scatterers and sampling rate."""
+    traj, radio, scat, _ = cfg.scenario_objects()
+    return synthgen.generate_trajectory(traj), radio, scat, traj.sample_rate
 
 
 def cmd_generate(cfg: ExperimentConfig, out_path: str) -> int:
@@ -176,11 +171,11 @@ def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
 
 def cmd_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     _check_2d(cfg.encoder.d_out)  # every arm's chart is exported
+    n = cfg.scenario_objects()[0].n_samples
+    _check_encoder_fits(cfg, n, smart=True)  # compare always runs the smart arm
     os.makedirs(out_dir, exist_ok=True)
     track, radio, scat, rate = _scenario(cfg)
     cs = synthgen.synthesize_channels(track, radio, scat, sample_rate=rate)
-    n = cs.channels.shape[0]
-    _check_encoder_fits(cfg, n, smart=True)  # compare always runs the smart arm
     _, eval_idx = _split(cfg, n)
     mining = cfg.mining_config(cs.sample_rate)
 
@@ -193,8 +188,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str) -> int:
                 fileio.write_text(os.path.join(out_dir, f"loss_{name}.csv"),
                                   fileio.loss_csv(report.epoch_losses))
             metrics = evalmetrics.evaluate(model, cs, eval_idx, cfg.k_grid)
-            for k, frac, tw, ct in metrics.rows:
-                lines.append(f"{name},{phase},{k},{float(frac)!r},{float(tw)!r},{float(ct)!r}")
+            lines += [f"{name},{phase},{row}" for row in metrics.to_csv().splitlines()[1:]]
             k, frac, tw, ct = metrics.rows[0]
             print(f"compare[{name}] {phase}: TW@{frac:g}={tw:.4f} CT@{frac:g}={ct:.4f}")
         fileio.write_model(os.path.join(out_dir, f"model_{name}.bin"), model)

@@ -24,8 +24,9 @@ Scenario kinds:
   spelled out in full.
 
 The scenario objects are built once, while the document is parsed, so a
-scenario that cannot be sampled fails there; ``scenario_objects()`` returns
-those objects.
+scenario that cannot be sampled, or a loop whose sampled path does not hold
+``n_samples`` samples, fails there; ``scenario_objects()`` returns those
+objects.
 
 Seeds are per stage (``trajectory``, ``init``, ``mining``, ``training``).
 ``derive_seeds(root)`` expands one root seed into the four stage seeds via
@@ -210,7 +211,11 @@ def _parse_scenario(d: dict, seed: int):
         if jitter < 0.0:
             raise ConfigError("scenario.jitter_sigma must be >= 0")
         sc = {"kind": "loop", "n_samples": n, "geometry_samples": geo, "jitter_sigma": jitter}
-        return sc, (*loop_scenario(n, seed, jitter, geo), n)
+        traj, radio, scat = loop_scenario(n, seed, jitter, geo)
+        if traj.n_samples != n:  # the sampled path can fall one short in float64
+            raise ConfigError(f"scenario.n_samples: the loop's sampled path holds "
+                              f"{traj.n_samples} samples, not {n}")
+        return sc, (traj, radio, scat, n)
     if kind != "explicit":
         raise ConfigError(f"scenario.kind: expected 'loop' or 'explicit', got {kind!r}")
     _check_keys(d, {"kind", "trajectory", "radio", "scatterers"},
@@ -260,7 +265,7 @@ class ExperimentConfig:
         seeds = {stage: _as_seed(sd[stage], f"seeds.{stage}") for stage in STAGES}
 
         scenario, objects = _parse_scenario(doc["scenario"], seeds["trajectory"])
-        traj, _, _, n = objects
+        traj = objects[0]
         encoder = _section(doc.get("encoder", {}), EncoderSettings, "encoder")
         rate = traj.sample_rate
         mining = _section(doc.get("mining", {}), MiningConfig, "mining",
@@ -273,7 +278,7 @@ class ExperimentConfig:
         if training.epochs < 1:  # TrainConfig itself allows 0 epochs, a no-op
             raise ConfigError("training.epochs must be >= 1")
         # an anchor has a far candidate only if the split spans S_close + 2 samples
-        n_train = train_size(traj.n_samples if n is None else n, training.split_ratio)
+        n_train = train_size(traj.n_samples, training.split_ratio)
         if n_train < mining.s_close + 2:
             raise ConfigError(f"mining.t_close: S_close = {mining.s_close} samples needs a "
                               f"training split of at least {mining.s_close + 2} samples, "

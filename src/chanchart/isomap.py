@@ -46,20 +46,13 @@ def knn_graph(dist: np.ndarray, k_iso: int) -> NeighborGraph:
     n = dist.shape[0]
     if not 1 <= k_iso < n:
         raise ValueError(f"k_iso must be in [1, {n - 1}], got {k_iso}")
-    edges = set()
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
-        picked = 0
-        for j in order:
-            j = int(j)
-            if j == i:
-                continue
-            edges.add((min(i, j), max(i, j)))
-            picked += 1
-            if picked == k_iso:
-                break
+    rows = np.arange(n)[:, None]
+    order = np.argsort(dist, axis=1, kind="stable")
+    nearest = order[order != rows].reshape(n, n - 1)[:, :k_iso]  # self dropped
+    edges = np.unique(np.stack([np.minimum(rows, nearest), np.maximum(rows, nearest)],
+                               axis=-1).reshape(-1, 2), axis=0)
     adjacency = [[] for _ in range(n)]
-    for i, j in sorted(edges):
+    for i, j in edges.tolist():
         w = float(dist[i, j])
         adjacency[i].append((j, w))
         adjacency[j].append((i, w))

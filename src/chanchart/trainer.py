@@ -179,15 +179,13 @@ def _backprop(model, channels: np.ndarray, idx: np.ndarray, margin: float, grads
     """
     nb = idx.size // 3
     z3, ok3, cache = model.forward_rows(channels, idx)
-    ok = ok3[:nb] & ok3[nb:2 * nb] & ok3[2 * nb:]
+    ok = ok3.reshape(3, nb).all(axis=0)
     n_ok = int(np.sum(ok))
     if n_ok == 0:
         return 0, 0.0
-    loss, gz_a, gz_p, gz_m = triplet_loss_grad_batch(
-        z3[:nb], z3[nb:2 * nb], z3[2 * nb:], margin)
+    loss, *gz = triplet_loss_grad_batch(*z3.reshape(3, nb, -1), margin)
     scale = np.where(ok, 1.0 / n_ok, 0.0)[:, None]
-    gz3 = np.concatenate([gz_a * scale, gz_p * scale, gz_m * scale])
-    model.backward_rows(cache, gz3, grads)
+    model.backward_rows(cache, np.concatenate([g * scale for g in gz]), grads)
     return n_ok, float(np.sum(loss[ok]))
 
 
@@ -210,13 +208,9 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
     """
     channels = cs.channels
     rows, _ = split_dataset(channels.shape[0], cfg.split_ratio, substream(cfg.seed, 0))
-    triplets = mine_triplets(int(rows.size), mining)
-    if not triplets:
+    trip = rows[mine_triplets(int(rows.size), mining)]
+    if trip.size == 0:
         raise DataError("mining produced no triplets")
-    trip = np.asarray(triplets, dtype=np.int64)
-    anchors = rows[trip[:, 0]]
-    closes = rows[trip[:, 1]]
-    fars = rows[trip[:, 2]]
 
     params = model.arrays()
     state = OptimizerState.for_params(params)
@@ -233,8 +227,8 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
         loss_count = 0
         for step, b0 in enumerate(range(0, order.size, cfg.batch_size), 1):
             sel = order[b0:b0 + cfg.batch_size]
-            idx = np.concatenate([anchors[sel], closes[sel], fars[sel]])
-            n_ok, step_loss = _backprop(model, channels, idx, cfg.margin, grads)
+            n_ok, step_loss = _backprop(model, channels, trip[sel].T.ravel(),
+                                        cfg.margin, grads)
             skipped += sel.size - n_ok
             if n_ok == 0:
                 continue

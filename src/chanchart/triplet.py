@@ -3,25 +3,21 @@
 Triplets exploit sampling-time adjacency: for an anchor sample i, a close
 sample j lies within S_c samples and a far sample k between S_c+1 and S_f
 samples away, where S_c and S_f convert time windows to sample counts at
-the dataset's sampling rate.  The loss max(0, d+ - d- + m) pulls the close
-chart point toward the anchor and pushes the far one away.
+the dataset's sampling rate.  Mining returns the triplets as one (T, 3)
+int64 array of (anchor, close, far) rows.  The loss max(0, d+ - d- + m)
+pulls the close chart point toward the anchor and pushes the far one away;
+it and its subgradients are computed row-wise over a batch, and one
+triplet is a batch of one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .rng import SplitMix64
-
-
-class TripletIndex(NamedTuple):
-    anchor: int
-    close: int
-    far: int
 
 
 @dataclass
@@ -53,8 +49,11 @@ class MiningConfig:
         return int(math.floor(self.t_far * self.sample_rate + 0.5))
 
 
-def mine_triplets(n: int, cfg: MiningConfig) -> list[TripletIndex]:
+def mine_triplets(n: int, cfg: MiningConfig) -> np.ndarray:
     """Draw per_anchor seeded triplets for every anchor index in [0, n).
+
+    Returns a (T, 3) int64 array of (anchor, close, far) rows, (0, 3) when
+    no anchor has a far candidate.
 
     Close candidates are [i-S_c, i+S_c] \\ {i} clipped to [0, n); far
     candidates are [i-S_f, i-S_c-1] and [i+S_c+1, i+S_f] clipped likewise.
@@ -82,22 +81,7 @@ def mine_triplets(n: int, cfg: MiningConfig) -> list[TripletIndex]:
     j += j >= a
     r = (draws[1::2] % (n_left[a] + n_right[a]).astype(np.uint64)).astype(np.int64)
     k = np.where(r < n_left[a], lo_far_l[a] + r, lo_far_r[a] + (r - n_left[a]))
-    return list(map(TripletIndex, a.tolist(), j.tolist(), k.tolist()))
-
-
-def _row(*vectors):
-    return [np.asarray(v, dtype=np.float64)[None, :] for v in vectors]
-
-
-def triplet_loss(z, z_plus, z_minus, m: float):
-    """Margin loss for one triplet; returns (loss, d_plus, d_minus) as floats."""
-    return tuple(float(x[0]) for x in triplet_loss_batch(*_row(z, z_plus, z_minus), m))
-
-
-def triplet_loss_grad(z, z_plus, z_minus, m: float):
-    """Subgradients of the margin loss w.r.t. (z, z_plus, z_minus), as 1-D arrays."""
-    _, gz, gzp, gzm = triplet_loss_grad_batch(*_row(z, z_plus, z_minus), m)
-    return gz[0], gzp[0], gzm[0]
+    return np.stack([a, j, k], axis=1)
 
 
 def triplet_loss_batch(z, z_plus, z_minus, m: float):

@@ -18,7 +18,6 @@ import numpy as np
 from chanchart import evalmetrics
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import SPEED_OF_LIGHT
-from chanchart.triplet import TripletIndex
 
 
 def procrustes_residual(reference: np.ndarray, embedding: np.ndarray) -> float:
@@ -488,9 +487,10 @@ def shuffle_oracle(rng, items) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def mine_triplets_oracle(n: int, cfg) -> list:
-    """Triplet mining one anchor and one ``randbelow`` draw at a time; this
-    was the package's ``mine_triplets``."""
+def mine_triplets_oracle(n: int, cfg) -> np.ndarray:
+    """Triplet mining one anchor and one ``randbelow`` draw at a time, as a
+    (T, 3) int64 array of (anchor, close, far) rows; this was the package's
+    ``mine_triplets``."""
     s_c = cfg.s_close
     s_f = cfg.s_far
     rng = SplitMix64(cfg.seed)
@@ -513,8 +513,8 @@ def mine_triplets_oracle(n: int, cfg) -> list:
                 j += 1
             r = rng.randbelow(n_far)
             k = lo_far_l + r if r < n_left else lo_far_r + (r - n_left)
-            out.append(TripletIndex(i, j, k))
-    return out
+            out.append((i, j, k))
+    return np.array(out, dtype=np.int64).reshape(-1, 3)
 
 
 def _path_terms_oracle(sources, lengths, radio, gains):

@@ -64,8 +64,8 @@ from chanchart.trainer import split_dataset, train
 from chanchart.triplet import (
     MiningConfig,
     mine_triplets,
-    triplet_loss,
-    triplet_loss_grad,
+    triplet_loss_batch,
+    triplet_loss_grad_batch,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -192,7 +192,8 @@ def _hybrid_instance_error(seed: int):
     outs = [forward_batch(params, h[None, :]) for h in chans]
     zs = [z[0] for z, _ in outs]
     caches = [c for _, c in outs]
-    loss, d_plus, d_minus = triplet_loss(zs[0], zs[1], zs[2], margin)
+    loss, d_plus, d_minus = (x[0] for x in triplet_loss_batch(
+        *(z[None, :] for z in zs), margin))
     if loss < 1e-3 or d_plus < 1e-4 or d_minus < 1e-4:
         return None
     for cache in caches:
@@ -203,7 +204,8 @@ def _hybrid_instance_error(seed: int):
         if float(np.min(cache.b[0][cache.kept_mask[0]])) < 1e-4:
             return None
 
-    gz, gzp, gzm = triplet_loss_grad(zs[0], zs[1], zs[2], margin)
+    _, gz, gzp, gzm = (x[0] for x in triplet_loss_grad_batch(
+        *(z[None, :] for z in zs), margin))
     acc = [np.zeros_like(params.d_re), np.zeros_like(params.d_im),
            np.zeros_like(params.z)]
     for cache, g in zip(caches, (gz, gzp, gzm)):
@@ -219,8 +221,8 @@ def _hybrid_instance_error(seed: int):
         q = EncoderParams(d_re=vec[:nd].reshape(m, n_init),
                           d_im=vec[nd:2 * nd].reshape(m, n_init),
                           z=vec[2 * nd:].reshape(2, n_init), k=k)
-        za, zp, zm = (forward_batch(q, h[None, :])[0][0] for h in chans)
-        return triplet_loss(za, zp, zm, margin)[0]
+        za, zp, zm = (forward_batch(q, h[None, :])[0] for h in chans)
+        return triplet_loss_batch(za, zp, zm, margin)[0][0]
 
     vec0 = np.concatenate([params.d_re.reshape(-1), params.d_im.reshape(-1),
                            params.z.reshape(-1)])
@@ -253,11 +255,13 @@ def _mlp_instance_error(seed: int):
     outs = [mlp_forward_batch(params, h[None, :]) for h in chans]
     zs = [z[0] for z, _, _ in outs]
     acts = [a for _, a, _ in outs]
-    loss, d_plus, d_minus = triplet_loss(zs[0], zs[1], zs[2], margin)
+    loss, d_plus, d_minus = (x[0] for x in triplet_loss_batch(
+        *(z[None, :] for z in zs), margin))
     if loss < 1e-3 or d_plus < 1e-4 or d_minus < 1e-4:
         return None
 
-    gz, gzp, gzm = triplet_loss_grad(zs[0], zs[1], zs[2], margin)
+    _, gz, gzp, gzm = (x[0] for x in triplet_loss_grad_batch(
+        *(z[None, :] for z in zs), margin))
     acc = [np.zeros_like(w) for w in params.weights]
     for act, g in zip(acts, (gz, gzp, gzm)):
         for i, grad in enumerate(mlp_backward_batch(params, act, g[None, :],
@@ -274,8 +278,8 @@ def _mlp_instance_error(seed: int):
             ws.append(vec[off:off + size].reshape(shape))
             off += size
         q = MlpParams(weights=ws)
-        za, zp, zm = (mlp_forward_batch(q, h[None, :])[0][0] for h in chans)
-        return triplet_loss(za, zp, zm, margin)[0]
+        za, zp, zm = (mlp_forward_batch(q, h[None, :])[0] for h in chans)
+        return triplet_loss_batch(za, zp, zm, margin)[0][0]
 
     vec0 = np.concatenate([w.reshape(-1) for w in params.weights])
     return relative_error(analytic, central_difference(objective, vec0))
@@ -433,12 +437,12 @@ def test_criterion_8_mining_invariants():
             ok_props &= 0 <= close < n and 0 <= far < n
             ok_props &= 1 <= abs(close - a) <= s_c
             ok_props &= s_c < abs(far - a) <= s_f
-        counts = Counter(t.anchor for t in trips)
+        counts = Counter(trips[:, 0].tolist())
         for i in range(n):
             has_far = (max(0, i - s_f) <= i - s_c - 1) or (i + s_c + 1 <= min(n - 1, i + s_f))
             expected = cfg.per_anchor if has_far else 0
             ok_props &= counts.get(i, 0) == expected
-        ok_props &= mine_triplets(n, cfg) == trips
+        ok_props &= np.array_equal(mine_triplets(n, cfg), trips)
 
     detail = (f"rate 7/s with 100 s and 290 s windows gives S_close={stock.s_close} "
               f"(= 700) and S_far={stock.s_far}; 12 seeded minings satisfy the "

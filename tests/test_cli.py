@@ -276,8 +276,34 @@ def test_k_larger_than_n_init_exits_3(tmp_path, capsys):
     assert code == 3
     init_err = _stderr_error(capsys)
     assert init_err == {"error": "dimension", "detail": "encoder.k=3 exceeds n_init=2"}
-    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 3
-    assert _stderr_error(capsys) == init_err
+    assert _compare_refuses(tmp_path, capsys, cfg) == init_err
+
+
+def _compare_refuses(tmp_path, capsys, cfg) -> dict:
+    """compare must exit 3 with one JSON line and no output directory; returns
+    the error."""
+    out = tmp_path / "compare"
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert not out.exists()
+    return json.loads(err[0])
+
+
+def test_smart_dictionary_larger_than_the_dataset_exits_3(tmp_path, capsys):
+    # the small scenario has 61 samples
+    cfg = _write_doc(tmp_path, _small_doc(n_init=62, init="smart"))
+    data = str(tmp_path / "data.bin")
+    assert main(["generate", "--config", cfg, "--out", data]) == 0
+    capsys.readouterr()
+    code = main(["init", "--config", cfg, "--data", data,
+                 "--out", str(tmp_path / "m.bin")])
+    assert code == 3
+    init_err = _stderr_error(capsys)
+    assert init_err == {"error": "dimension",
+                        "detail": "encoder.n_init=62 exceeds dataset size 61"}
+    assert _compare_refuses(tmp_path, capsys, cfg) == init_err
 
 
 def test_chart_requires_2d_model(tmp_path, capsys):
@@ -292,13 +318,8 @@ def test_chart_requires_2d_model(tmp_path, capsys):
     assert code == 3
     assert "d_out=3" in _stderr_error(capsys)["detail"]
     # compare exports every arm's chart, so it refuses before writing anything
-    out = tmp_path / "compare"
-    assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0]) == {"error": "dimension", "detail": "chart export needs a "
-                                  "2-D chart, model has d_out=3"}
-    assert not out.exists()
+    assert _compare_refuses(tmp_path, capsys, cfg) == {
+        "error": "dimension", "detail": "chart export needs a 2-D chart, model has d_out=3"}
 
 
 def test_diverging_training_exits_2_with_one_json_line(tmp_path, capsys):
@@ -433,7 +454,7 @@ def test_mining_windows_wider_than_the_training_split_exit_2_at_parse(tmp_path, 
     for s_close, code in ((n_train - 2, 0), (n_train - 1, 2)):
         mining = replace(cfg.mining, t_close=s_close / cfg.sample_rate(), t_far=1000.0)
         assert mining.s_close == s_close
-        assert bool(mine_triplets(n_train, mining)) == (code == 0)
+        assert (len(mine_triplets(n_train, mining)) > 0) == (code == 0)
         doc["mining"].update(t_close=mining.t_close, t_far=mining.t_far)
         capsys.readouterr()
         assert main(["show-config", "--config", _write_doc(tmp_path, doc)]) == code

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from chanchart.cli import main
 from chanchart.config import (
     ConfigError,
     EncoderSettings,
@@ -341,6 +342,23 @@ def test_desk_scenario_objects():
     assert np.isclose(traj.sample_rate, 1.4 * 1999 / ((8865 - 1) * 0.2))
     track = generate_trajectory(traj)
     assert track.shape[0] == 2000
+
+
+def test_loop_whose_path_misses_n_samples_is_rejected_at_parse(tmp_path, capsys):
+    # in float64, 10^7 samples over a 4*10^7-sample geometry leave the
+    # sampled path one sample short, which generate would find only later
+    doc = {"scenario": {"kind": "loop", "n_samples": 10_000_000,
+                        "geometry_samples": 40_000_000}}
+    detail = "scenario.n_samples: the loop's sampled path holds 9999999 samples, not 10000000"
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(doc)
+    assert str(exc.value) == detail
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["show-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "config", "detail": detail}
 
 
 def test_explicit_scenario_round_trip():

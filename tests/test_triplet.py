@@ -9,11 +9,8 @@ from chanchart.config import preset
 from chanchart.rng import SplitMix64
 from chanchart.triplet import (
     MiningConfig,
-    TripletIndex,
     mine_triplets,
-    triplet_loss,
     triplet_loss_batch,
-    triplet_loss_grad,
     triplet_loss_grad_batch,
 )
 from helpers import (
@@ -64,25 +61,23 @@ def test_triplet_index_invariants():
         s_c, s_f = cfg.s_close, cfg.s_far
         n = 50
         triplets = mine_triplets(n, cfg)
-        assert triplets, "mining produced nothing"
-        for t in triplets:
-            assert 0 <= t.anchor < n
-            assert 0 <= t.close < n and t.close != t.anchor
-            assert 0 <= t.far < n
-            assert abs(t.close - t.anchor) <= s_c
-            assert s_c < abs(t.far - t.anchor) <= s_f
+        assert len(triplets) > 0, "mining produced nothing"
+        anchor, close, far = triplets.T
+        assert np.all((0 <= anchor) & (anchor < n))
+        assert np.all((0 <= close) & (close < n) & (close != anchor))
+        assert np.all((0 <= far) & (far < n))
+        assert np.all(np.abs(close - anchor) <= s_c)
+        assert np.all((s_c < np.abs(far - anchor)) & (np.abs(far - anchor) <= s_f))
 
 
 def test_every_eligible_anchor_appears():
     cfg = _cfg(per_anchor=3)
     n = 40
     triplets = mine_triplets(n, cfg)
-    counts = {}
-    for t in triplets:
-        counts[t.anchor] = counts.get(t.anchor, 0) + 1
+    anchors, counts = np.unique(triplets[:, 0], return_counts=True)
     # every index has a nonempty far window here, so all anchors appear
-    assert sorted(counts) == list(range(n))
-    assert set(counts.values()) == {3}
+    assert anchors.tolist() == list(range(n))
+    assert set(counts.tolist()) == {3}
 
 
 def test_anchors_without_far_candidates_are_skipped():
@@ -90,7 +85,7 @@ def test_anchors_without_far_candidates_are_skipped():
     cfg = _cfg(t_close=2.0, t_far=4.0)
     n = 6  # S_c=2, S_f=4: anchors 2 and 3 have far sets {..} check directly
     triplets = mine_triplets(n, cfg)
-    anchors = {t.anchor for t in triplets}
+    anchors = set(triplets[:, 0].tolist())
     for i in range(n):
         left = range(max(0, i - 4), max(0, i - 2))
         right = range(min(n, i + 3), min(n, i + 5))
@@ -101,8 +96,8 @@ def test_anchors_without_far_candidates_are_skipped():
 def test_mining_deterministic_and_seed_sensitive():
     cfg_a = _cfg(seed=1)
     cfg_b = _cfg(seed=2)
-    assert mine_triplets(60, cfg_a) == mine_triplets(60, cfg_a)
-    assert mine_triplets(60, cfg_a) != mine_triplets(60, cfg_b)
+    assert np.array_equal(mine_triplets(60, cfg_a), mine_triplets(60, cfg_a))
+    assert not np.array_equal(mine_triplets(60, cfg_a), mine_triplets(60, cfg_b))
 
 
 def test_empty_close_window_raises():
@@ -111,11 +106,12 @@ def test_empty_close_window_raises():
         mine_triplets(10, cfg)
 
 
-def _mined(n, cfg):
+def _mined(mine, n, cfg):
     try:
-        return mine_triplets(n, cfg)
+        got = mine(n, cfg)
     except ValueError as exc:
         return ("ValueError", str(exc))
+    return got.dtype, got.shape, got.tolist()
 
 
 @pytest.mark.parametrize("name", ["tiny", "desk", "default"])
@@ -125,9 +121,8 @@ def test_mining_matches_scalar_oracle_on_presets(name):
         mining = cfg.mining_config(cfg.sample_rate())
         for n in (7, 50, 140, cfg.scenario["n_samples"]):
             got = mine_triplets(n, mining)
-            assert got == mine_triplets_oracle(n, mining), (name, root, n)
-            assert all(type(t) is TripletIndex and all(type(x) is int for x in t)
-                       for t in got)
+            assert np.array_equal(got, mine_triplets_oracle(n, mining)), (name, root, n)
+            assert got.dtype == np.int64 and got.ndim == 2 and got.shape[1] == 3
 
 
 def test_mining_matches_scalar_oracle_at_the_edges():
@@ -136,11 +131,8 @@ def test_mining_matches_scalar_oracle_at_the_edges():
                                        (0.4, 2.0, 1), (0.01, 0.02, 1)):
         cfg = _cfg(t_close=t_close, t_far=t_far, per_anchor=per_anchor, seed=2**64 - 1)
         for n in (0, 1, 2, 3, 10, 100):
-            try:
-                want = mine_triplets_oracle(n, cfg)
-            except ValueError as exc:
-                want = ("ValueError", str(exc))
-            assert _mined(n, cfg) == want, (t_close, t_far, n)
+            want = _mined(mine_triplets_oracle, n, cfg)
+            assert _mined(mine_triplets, n, cfg) == want, (t_close, t_far, n)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +140,19 @@ def test_mining_matches_scalar_oracle_at_the_edges():
 
 
 def test_loss_hand_cases():
-    z = np.array([0.0, 0.0])
-    zp = np.array([1.0, 0.0])   # d+ = 1
-    zm = np.array([0.0, 3.0])   # d- = 3
-    loss, dp, dm = triplet_loss(z, zp, zm, m=1.0)
-    assert (dp, dm) == (1.0, 3.0)
-    assert all(type(x) is float for x in (loss, dp, dm))
-    assert loss == 0.0  # 1 - 3 + 1 = -1, hinge inactive
-    loss, _, _ = triplet_loss(z, zp, zm, m=3.0)
-    assert loss == 1.0  # 1 - 3 + 3
+    # one triplet is a batch of one row
+    z = np.array([[0.0, 0.0]])
+    zp = np.array([[1.0, 0.0]])   # d+ = 1
+    zm = np.array([[0.0, 3.0]])   # d- = 3
+    loss, dp, dm = triplet_loss_batch(z, zp, zm, m=1.0)
+    assert (dp[0], dm[0]) == (1.0, 3.0)
+    assert all(x.shape == (1,) for x in (loss, dp, dm))
+    assert loss[0] == 0.0  # 1 - 3 + 1 = -1, hinge inactive
+    loss, _, _ = triplet_loss_batch(z, zp, zm, m=3.0)
+    assert loss[0] == 1.0  # 1 - 3 + 3
     # margin exactly at the boundary: hinge value 0
-    loss, _, _ = triplet_loss(z, zp, zm, m=2.0)
-    assert loss == 0.0
+    loss, _, _ = triplet_loss_batch(z, zp, zm, m=2.0)
+    assert loss[0] == 0.0
 
 
 def test_grad_matches_finite_differences():
@@ -170,8 +163,8 @@ def test_grad_matches_finite_differences():
         zp = rng.normals(2)
         zm = rng.normals(2)
         m = rng.uniform() * 2.0
-        loss, _, _ = triplet_loss(z, zp, zm, m)
-        gz, gp, gm = triplet_loss_grad(z, zp, zm, m)
+        loss, gz, gp, gm = (x[0] for x in triplet_loss_grad_batch(
+            z[None, :], zp[None, :], zm[None, :], m))
         if loss == 0.0:
             assert not (gz.any() or gp.any() or gm.any())
             continue
@@ -179,8 +172,8 @@ def test_grad_matches_finite_differences():
         packed = np.concatenate([z, zp, zm])
 
         def f(x):
-            l, _, _ = triplet_loss(x[0:2], x[2:4], x[4:6], m)
-            return l
+            l, _, _ = triplet_loss_batch(x[None, 0:2], x[None, 2:4], x[None, 4:6], m)
+            return l[0]
 
         fd = central_difference(f, packed.copy())
         assert relative_error(np.concatenate([gz, gp, gm]), fd) < 1e-6
@@ -188,12 +181,12 @@ def test_grad_matches_finite_differences():
 
 
 def test_grad_zero_distance_subgradient():
-    z = np.array([1.0, 2.0])
-    gz, gp, gm = triplet_loss_grad(z, z.copy(), np.array([5.0, 5.0]), m=10.0)
+    z = np.array([[1.0, 2.0]])
+    _, gz, gp, gm = triplet_loss_grad_batch(z, z.copy(), np.array([[5.0, 5.0]]), m=10.0)
     # d+ = 0 exactly: its direction is undefined, subgradient contribution 0
-    assert gz.shape == gp.shape == gm.shape == (2,)
+    assert gz.shape == gp.shape == gm.shape == (1, 2)
     assert np.isfinite(gz).all() and np.isfinite(gp).all() and np.isfinite(gm).all()
-    assert np.array_equal(gp, [0.0, 0.0])
+    assert np.array_equal(gp, [[0.0, 0.0]])
 
 
 def test_batch_matches_scalar():
