@@ -100,10 +100,12 @@ def _init_model(cfg: ExperimentConfig, cs, kind: str):
 
 
 def _check_encoder_fits(cfg: ExperimentConfig, n: int, smart: bool) -> None:
-    """k must fit in the dictionary, and a smart dictionary in the n samples."""
+    """k must fit in the dictionary; a smart one must fit in the n samples and exceed k_iso."""
     e = cfg.encoder
     if e.k > e.n_init:
         raise DimensionError(f"encoder.k={e.k} exceeds n_init={e.n_init}")
+    if smart and e.k_iso >= e.n_init:
+        raise DimensionError(f"encoder.k_iso={e.k_iso} must be below n_init={e.n_init}")
     if smart and e.n_init > n:
         raise DimensionError(f"encoder.n_init={e.n_init} exceeds dataset size {n}")
 
@@ -173,9 +175,9 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     _check_2d(cfg.encoder.d_out)  # every arm's chart is exported
     n = cfg.scenario_objects()[0].n_samples
     _check_encoder_fits(cfg, n, smart=True)  # compare always runs the smart arm
-    os.makedirs(out_dir, exist_ok=True)
     track, radio, scat, rate = _scenario(cfg)
     cs = synthgen.synthesize_channels(track, radio, scat, sample_rate=rate)
+    os.makedirs(out_dir, exist_ok=True)
     _, eval_idx = _split(cfg, n)
     mining = cfg.mining_config(cs.sample_rate)
 

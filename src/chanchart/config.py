@@ -301,10 +301,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
+        def unique(pairs: list) -> dict:  # a repeated key would silently win
+            obj = {}
+            for key, value in pairs:
+                if key in obj:
+                    raise ConfigError(f"{path}: duplicate key {key!r}")
+                obj[key] = value
+            return obj
+
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+                doc = json.load(fh, object_pairs_hook=unique)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return ExperimentConfig.from_dict(doc)
 

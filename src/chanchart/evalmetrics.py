@@ -8,9 +8,9 @@ grid of neighborhood sizes expressed as fractions of the evaluated set.
 
 Scoring walks both spaces in blocks of rows, so its memory stays fixed
 however many points are evaluated, and scores every K of the grid from one
-pass over the blocks (Venna & Kaski, ICANN 2001).  A row whose squared
-distances hold no ties in either space is ranked from its sorted values;
-only rows with ties take the stable argsort that breaks them by index.
+pass over the blocks (Venna & Kaski, ICANN 2001).  Every row is ranked
+from its sorted values by one path; a row with a tie in either space is
+first relabelled by the stable ranks that break its ties by index.
 """
 
 from __future__ import annotations
@@ -62,32 +62,17 @@ def _check_k(n: int, k: int, error=ValueError) -> None:
         raise error(f"K={k} outside [1, {_max_k(n)}] for n={n}")
 
 
-def _excess(ranks: np.ndarray, nn: np.ndarray, ks) -> np.ndarray:
+def _penalties(rank_sq, rank_sorted, nn_sq, nn_sorted, ks) -> np.ndarray:
     """Per K, the summed rank-space excess (rank - K) of the entries among
-    their row's nn-space K nearest but not its rank-space K nearest."""
-    return np.array([np.sum(ranks - k, where=(nn <= k) & (ranks > k)) for k in ks],
-                    dtype=np.int64)
-
-
-def _penalties(rank_ranks: np.ndarray, nn_ranks: np.ndarray, ks) -> np.ndarray:
-    """_excess over whole rank rows.
-
-    Only entries with nn-space rank in [1, max(ks)] can count for any K, so
-    those are gathered once and every K is scored from them.
-    """
-    near = (nn_ranks >= 1) & (nn_ranks <= max(ks))
-    return _excess(rank_ranks[near], nn_ranks[near], ks)
-
-
-def _sorted_penalties(rank_sq, rank_sorted, nn_sq, nn_sorted, ks) -> np.ndarray:
-    """_penalties of tie-free rows, from their squared distances and the
-    same rows sorted.
+    their row's nn-space K nearest but not its rank-space K nearest, from
+    tie-free rows of squared distances and the same rows sorted.
 
     In a tie-free row self is the only zero, so the rank of an entry is the
     number of smaller entries in its sorted row (``searchsorted``), and the
     nn-space max(ks) nearest are exactly the entries in
     (0, nn_sorted[max(ks)]]; their nn-space ranks are 1..max(ks) in the
-    order of their values.
+    order of their values.  Only those entries can count for any K, so they
+    are gathered once and every K is scored from them.
     """
     kmax = max(ks)
     near = (nn_sq > 0.0) & (nn_sq <= nn_sorted[:, kmax, None])
@@ -96,7 +81,8 @@ def _sorted_penalties(rank_sq, rank_sorted, nn_sq, nn_sorted, ks) -> np.ndarray:
     np.put_along_axis(nn, order, np.arange(1, kmax + 1), axis=1)
     ranks = np.array([np.searchsorted(s, q) for s, q in
                       zip(rank_sorted, rank_sq[near].reshape(-1, kmax))], dtype=np.int64)
-    return _excess(ranks, nn, ks)
+    return np.array([np.sum(ranks - k, where=(nn <= k) & (ranks > k)) for k in ks],
+                    dtype=np.int64)
 
 
 def _tied(s: np.ndarray) -> np.ndarray:
@@ -108,12 +94,13 @@ def _scores(positions: np.ndarray, chart: np.ndarray, ks) -> list:
     """(trustworthiness, continuity) for each K in ks.
 
     Both spaces are scored in blocks of about RANK_ENTRIES (row, point)
-    entries.  Each block's squared distances are sorted row by row; rows
-    without ties in either space are ranked from the sorted rows, and the
-    others by a stable argsort (_rank_rows).  Both give the ranks of the
-    whole n x n rank matrix (``rank_matrix`` in tests/helpers.py), and the
-    penalties are exact integers summed over the blocks, so the result
-    depends neither on the block size nor on which rows took which path.
+    entries.  Each block's squared distances are sorted row by row.  A row
+    with a tie or NaN in either space is relabelled in both: its values
+    become its stable ranks (_rank_rows) and its sorted row 0..n-1, so it
+    holds no tie and scores like the others.  Every row then gets the ranks
+    of the whole n x n rank matrix (``rank_matrix`` in tests/helpers.py),
+    and the penalties are exact integers summed over the blocks, so the
+    result does not depend on the block size.
     """
     pos = np.asarray(positions, dtype=np.float64)
     cht = np.asarray(chart, dtype=np.float64)
@@ -134,17 +121,13 @@ def _scores(positions: np.ndarray, chart: np.ndarray, ks) -> list:
         sorted_pos = np.sort(sq_pos, axis=1)
         sorted_cht = np.sort(sq_cht, axis=1)
         tied = _tied(sorted_pos) | _tied(sorted_cht)
-        free = ~tied
-        if free.any():
-            sp, op, sc, oc = sq_pos[free], sorted_pos[free], sq_cht[free], sorted_cht[free]
-            tw_pen += _sorted_penalties(sp, op, sc, oc, ks)
-            ct_pen += _sorted_penalties(sc, oc, sp, op, ks)
         if tied.any():
             cols = lo + np.flatnonzero(tied)
-            rank_pos = _rank_rows(sq_pos[tied], cols)
-            rank_cht = _rank_rows(sq_cht[tied], cols)
-            tw_pen += _penalties(rank_pos, rank_cht, ks)
-            ct_pen += _penalties(rank_cht, rank_pos, ks)
+            sq_pos[tied] = _rank_rows(sq_pos[tied], cols)
+            sq_cht[tied] = _rank_rows(sq_cht[tied], cols)
+            sorted_pos[tied] = sorted_cht[tied] = np.arange(n)
+        tw_pen += _penalties(sq_pos, sorted_pos, sq_cht, sorted_cht, ks)
+        ct_pen += _penalties(sq_cht, sorted_cht, sq_pos, sorted_pos, ks)
 
     def score(penalty, k: int) -> float:
         return 1.0 - (2.0 * int(penalty)) / (n * k * (2 * n - 3 * k - 1))

@@ -38,12 +38,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 _U64_GOLDEN = np.uint64(_GOLDEN)
-_U64_MIX1 = np.uint64(_MIX1)
-_U64_MIX2 = np.uint64(_MIX2)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_30 = np.uint64(30)
 _U64_27 = np.uint64(27)
 _U64_31 = np.uint64(31)
@@ -65,14 +63,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return int(self.u64s(1)[0])
 
     def uniform(self) -> float:
-        return (self.next_u64() >> 11) * _TWO_NEG53
+        return float(self.uniforms(1)[0])
 
     def u64s(self, n: int) -> np.ndarray:
         """n raw outputs as uint64, identical to n successive next_u64() calls."""
@@ -119,12 +113,14 @@ class SplitMix64:
         items[:] = seq
 
     def sample(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), partial forward Fisher-Yates."""
+        """k distinct indices from range(n), partial forward Fisher-Yates; its
+        swap indices i + randbelow(n - i) come from one vector draw."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
+        spans = np.arange(n, n - k, -1, dtype=np.uint64)
+        js = np.arange(k, dtype=np.uint64) + self.u64s(k) % spans
         idx = np.arange(n, dtype=np.int64)
-        for i in range(k):
-            j = i + self.randbelow(n - i)
+        for i, j in enumerate(js.tolist()):
             idx[i], idx[j] = idx[j], idx[i]
         return idx[:k].copy()
 
@@ -137,8 +133,4 @@ def substream(seed: int, stream: int) -> int:
     """
     if stream < 0:
         raise ValueError("stream must be >= 0")
-    g = SplitMix64(seed)
-    s = 0
-    for _ in range(stream + 1):
-        s = g.next_u64()
-    return s
+    return int(SplitMix64(seed).u64s(stream + 1)[-1])

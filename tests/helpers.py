@@ -487,6 +487,16 @@ def shuffle_oracle(rng, items) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+def sample_oracle(rng, n: int, k: int) -> list:
+    """Partial forward Fisher-Yates with one ``randbelow`` call per position;
+    this was ``SplitMix64.sample``."""
+    idx = list(range(n))
+    for i in range(k):
+        j = i + rng.randbelow(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
+
 def mine_triplets_oracle(n: int, cfg) -> np.ndarray:
     """Triplet mining one anchor and one ``randbelow`` draw at a time, as a
     (T, 3) int64 array of (anchor, close, far) rows; this was the package's

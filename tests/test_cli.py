@@ -306,6 +306,25 @@ def test_smart_dictionary_larger_than_the_dataset_exits_3(tmp_path, capsys):
     assert _compare_refuses(tmp_path, capsys, cfg) == init_err
 
 
+def test_k_iso_not_below_a_smart_dictionary_exits_3(tmp_path, capsys):
+    # Isomap on n_init atoms keeps at most n_init - 1 neighbours per atom
+    doc = _small_doc(n_init=12, init="smart")
+    doc["encoder"]["k_iso"] = 12
+    cfg = _write_doc(tmp_path, doc)
+    data = str(tmp_path / "data.bin")
+    assert main(["generate", "--config", cfg, "--out", data]) == 0
+    capsys.readouterr()
+    code = main(["init", "--config", cfg, "--data", data,
+                 "--out", str(tmp_path / "m.bin")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "dimension",
+                                  "detail": "encoder.k_iso=12 must be below n_init=12"}
+    assert not (tmp_path / "m.bin").exists()
+    assert _compare_refuses(tmp_path, capsys, cfg) == json.loads(err[0])
+
+
 def test_chart_requires_2d_model(tmp_path, capsys):
     cfg = _write_doc(tmp_path, _small_doc(d_out=3))
     data = str(tmp_path / "data.bin")
@@ -526,6 +545,19 @@ def test_generate_failing_in_a_late_block_leaves_no_file(tmp_path, capsys):
     assert json.loads(err[0]) == {"error": "config",
                                   "detail": "scatterer coincides with sample 600"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_compare_failing_in_synthesis_leaves_no_directory(tmp_path, capsys):
+    # 2 samples/s on the 20 m line puts sample 10 on the scatterer at (5, 0)
+    doc = _line_doc(20, scatterer=[5.0, 0.0, 0.0])
+    doc["scenario"]["trajectory"]["sample_rate"] = 2.0
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", _write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "config",
+                                  "detail": "scatterer coincides with sample 10"}
+    assert not out.exists()
 
 
 def test_allocation_failure_exits_2_with_one_json_line(tmp_path, capsys, monkeypatch):

@@ -228,6 +228,33 @@ def test_from_file(tmp_path):
         ExperimentConfig.from_file(str(path))
 
 
+@pytest.mark.parametrize("text, detail", [
+    ('{"scenario": {"kind": "loop", "n_samples": 1003},'
+     ' "training": {"epochs": 3, "epochs": 5}}', "duplicate key 'epochs'"),
+    ('{"scenario": {"kind": "loop", "n_samples": 1003},'
+     ' "seeds": {"init": 1, "init": 2}}', "duplicate key 'init'"),
+    ('{"scenario": {"kind": "loop", "n_samples": 1003},'
+     ' "scenario": {"kind": "loop", "n_samples": 1003}}', "duplicate key 'scenario'"),
+], ids=["training", "seeds", "top-level"])
+def test_duplicate_key_in_a_config_file_exits_2(tmp_path, capsys, text, detail):
+    # the last value would otherwise win without a word
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["show-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "config", "detail": f"{path}: {detail}"}
+
+
+def test_config_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"scenario": {"kind": "loop\xff"}}')
+    assert main(["show-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["detail"].startswith(f"{path}: not valid JSON (")
+
+
 # ---------------------------------------------------------------------------
 # presets
 

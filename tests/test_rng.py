@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chanchart.rng import SplitMix64, substream
-from helpers import shuffle_oracle
+from helpers import sample_oracle, shuffle_oracle
 
 # First four raw outputs of the reference algorithm, derived with an
 # independent transcription of the published constants.
@@ -127,6 +127,16 @@ def test_sample_is_sorted_unique_subset():
         assert all(0 <= v < 100 for v in got)
     full = SplitMix64(5).sample(10, 10)
     assert sorted(full.tolist()) == list(range(10))
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (1, 1), (10, 10), (100, 12), (5910, 200)])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_sample_matches_scalar_oracle(n, k, seed):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    got = rng.sample(n, k)
+    assert got.dtype == np.int64 and got.tolist() == sample_oracle(ref, n, k)
+    # the generator ends where the scalar draws leave it
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_substream_matches_raw_outputs():
