@@ -100,12 +100,14 @@ def _init_model(cfg: ExperimentConfig, cs, kind: str):
 
 
 def _check_encoder_fits(cfg: ExperimentConfig, n: int, smart: bool) -> None:
-    """k must fit in the dictionary; a smart one must fit in the n samples and exceed k_iso."""
+    """k must fit in the dictionary; a smart one must exceed k_iso, hold d_out atoms, fit in n."""
     e = cfg.encoder
     if e.k > e.n_init:
         raise DimensionError(f"encoder.k={e.k} exceeds n_init={e.n_init}")
     if smart and e.k_iso >= e.n_init:
         raise DimensionError(f"encoder.k_iso={e.k_iso} must be below n_init={e.n_init}")
+    if smart and e.d_out > e.n_init:
+        raise DimensionError(f"encoder.d_out={e.d_out} exceeds n_init={e.n_init}")
     if smart and e.n_init > n:
         raise DimensionError(f"encoder.n_init={e.n_init} exceeds dataset size {n}")
 

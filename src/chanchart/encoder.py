@@ -178,11 +178,10 @@ def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     del h, re_re, re_im
     b = np.sqrt(a_re * a_re + a_im * a_im)
     kept_mask = _top_k_mask(b, p.k) & (b > 0.0)
-    s = np.sum(np.where(kept_mask, b, 0.0), axis=1)
+    d = np.where(kept_mask, b, 0.0)
+    s = np.sum(d, axis=1)
     ok = s > 0.0
-    safe_s = np.where(ok, s, 1.0)
-    d = np.where(kept_mask, b, 0.0) / safe_s[:, None]
-    d[~ok] = 0.0
+    d /= np.where(ok, s, 1.0)[:, None]  # a row with no kept entry stays zero
     z = d @ p.z.T
     return z, BatchCache(channels=channels, rows=index, a_re=a_re, a_im=a_im, b=b,
                          kept_mask=kept_mask, s=s, d=d, ok=ok)

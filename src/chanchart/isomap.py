@@ -1,18 +1,18 @@
 """From-scratch Isomap over a precomputed distance matrix.
 
 Pipeline: symmetrized k-nearest-neighbor graph, all-pairs shortest paths
-(Dijkstra per source, with minimum-cross-edge bridging when the paths show
-the graph falls apart into components), then classical multidimensional
-scaling on LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).  Only
-used at encoder-initialization scale (a few hundred points), so everything
-favors determinism over asymptotics.  The pure-Python cyclic Jacobi solver
+(one Dijkstra per source, every source run in lockstep as O(n^2) array
+passes, with minimum-cross-edge bridging when the paths show the graph
+falls apart into components), then classical multidimensional scaling on
+LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).  Only used at
+encoder-initialization scale (a few hundred points), so everything favors
+determinism over asymptotics.  The pure-Python cyclic Jacobi solver
 ``jacobi_eigh`` is kept as the reference that the tests check MDS against;
 the pipeline does not call it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -55,13 +55,11 @@ def knn_graph(dist: np.ndarray, k_iso: int) -> NeighborGraph:
     for i, j in edges.tolist():
         w = float(dist[i, j])
         adjacency[i].append((j, w))
-        adjacency[j].append((i, w))
-    for lst in adjacency:
-        lst.sort()
+        adjacency[j].append((i, w))  # edges are sorted, so each list is too
     return NeighborGraph(n=n, adjacency=adjacency)
 
 
-def geodesic_distances(g: NeighborGraph, bridge_dist: np.ndarray | None = None) -> np.ndarray:
+def geodesic_distances(g: NeighborGraph, bridge_dist: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path lengths over the graph.
 
     Each unordered pair is taken from the lower-source Dijkstra run, so the
@@ -70,13 +68,11 @@ def geodesic_distances(g: NeighborGraph, bridge_dist: np.ndarray | None = None) 
     is bridged using the original distance matrix (`bridge_dist`): the
     single minimum-weight edge between two components is added to
     ``g.adjacency`` until one component remains, then the paths are run
-    again.  Without `bridge_dist` a disconnected graph raises.
+    again.
     """
     out = _all_pairs(g)
     labels = np.argmax(np.isfinite(out), axis=1)
     if labels.any():
-        if bridge_dist is None:
-            raise ValueError("graph is disconnected and no distance matrix was given for bridging")
         dist = np.asarray(bridge_dist, dtype=np.float64)
         while labels.any():
             cross = labels[:, None] != labels[None, :]
@@ -90,31 +86,26 @@ def geodesic_distances(g: NeighborGraph, bridge_dist: np.ndarray | None = None) 
 
 
 def _all_pairs(g: NeighborGraph) -> np.ndarray:
-    out = np.zeros((g.n, g.n))
-    for src in range(g.n):
-        out[src, src + 1:] = _dijkstra(g, src)[src + 1:]
+    # Row s of dist is Dijkstra from source s.  Each of the n rounds settles
+    # every row's nearest unsettled node u (settled entries are keyed +inf;
+    # a row with none left re-settles one) and relaxes u's edges.  As no edge
+    # weighs below 0, fmin never lowers a settled label, and it never takes a
+    # NaN edge; each label ends as the least fl(d_u + w_uv) over its neighbours.
+    n = g.n
+    w = np.full((n, n), np.inf)
+    for u, adj in enumerate(g.adjacency):
+        for v, wt in adj:
+            w[u, v] = wt
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    settled = np.zeros((n, n))
+    rows = np.arange(n)
+    for _ in range(n):
+        u = np.argmin(dist + settled, axis=1)
+        settled[rows, u] = np.inf
+        np.fmin(dist, dist[rows, u][:, None] + w[u], out=dist)
+    out = np.triu(dist, 1)
     return out + out.T
-
-
-def _dijkstra(g: NeighborGraph, src: int) -> np.ndarray:
-    # dist and done stay Python lists of floats and bools until the return
-    dist = [math.inf] * g.n
-    dist[src] = 0.0
-    done = [False] * g.n
-    heap = [(0.0, src)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in g.adjacency[u]:
-            if done[v]:
-                continue
-            cand = du + w
-            if cand < dist[v]:
-                dist[v] = cand
-                heapq.heappush(heap, (cand, v))
-    return np.array(dist)
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
@@ -190,11 +181,8 @@ def classical_mds(dist: np.ndarray, d_out: int) -> Embedding:
     order = np.argsort(-vals, kind="stable")[:d_out]
     top_vals = vals[order]
     coords = vecs[:, order] * np.sqrt(np.clip(top_vals, 0.0, None))[None, :]
-    for c in range(coords.shape[1]):
-        col = coords[:, c]
-        peak = int(np.argmax(np.abs(col)))
-        if col[peak] < 0:
-            coords[:, c] = -col
+    peak = np.argmax(np.abs(coords), axis=0)
+    coords[:, coords[peak, np.arange(d_out)] < 0] *= -1.0
     return Embedding(coords=coords, eigenvalues=top_vals)
 
 

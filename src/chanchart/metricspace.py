@@ -78,7 +78,5 @@ def distance_matrix(rows: np.ndarray) -> np.ndarray:
     gram = rows.conj() @ rows.T
     corr = np.abs(gram) / np.outer(norms, norms)
     np.clip(corr, None, 1.0, out=corr)
-    d = np.sqrt(np.clip(2.0 - 2.0 * corr, 0.0, None))
-    upper = np.triu(d, 1)
-    out = upper + upper.T
-    return out
+    upper = np.triu(np.sqrt(2.0 - 2.0 * corr), 1)  # corr <= 1, so never sqrt(< 0)
+    return upper + upper.T

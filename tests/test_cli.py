@@ -325,6 +325,24 @@ def test_k_iso_not_below_a_smart_dictionary_exits_3(tmp_path, capsys):
     assert _compare_refuses(tmp_path, capsys, cfg) == json.loads(err[0])
 
 
+def test_d_out_above_a_smart_dictionary_exits_3(tmp_path, capsys):
+    # classical MDS on n_init atoms yields at most n_init coordinates
+    doc = _small_doc(n_init=2, k=1, d_out=3, init="smart")
+    doc["encoder"]["k_iso"] = 1
+    cfg = _write_doc(tmp_path, doc)
+    data = str(tmp_path / "data.bin")
+    assert main(["generate", "--config", cfg, "--out", data]) == 0
+    capsys.readouterr()
+    code = main(["init", "--config", cfg, "--data", data,
+                 "--out", str(tmp_path / "m.bin")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "dimension",
+                                  "detail": "encoder.d_out=3 exceeds n_init=2"}
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_chart_requires_2d_model(tmp_path, capsys):
     cfg = _write_doc(tmp_path, _small_doc(d_out=3))
     data = str(tmp_path / "data.bin")

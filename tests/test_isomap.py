@@ -72,6 +72,21 @@ def test_knn_graph_symmetrized_degree_can_exceed_k():
             assert (i, w) in g.adjacency[j]  # undirected
 
 
+def test_knn_graph_lists_are_sorted_by_neighbor():
+    # random, tied (rounded) and NaN-holding matrices, none of them symmetric
+    for seed in range(30):
+        rng = SplitMix64(seed)
+        n = 3 + rng.randbelow(40)
+        d = rng.uniforms(n * n).reshape(n, n)
+        if seed % 3 == 1:
+            d = np.round(4.0 * d)
+        elif seed % 3 == 2:
+            d[rng.uniforms(n * n).reshape(n, n) < 0.2] = np.nan
+        g = knn_graph(d, 1 + rng.randbelow(min(6, n - 1)))
+        for adj in g.adjacency:
+            assert [j for j, _ in adj] == sorted(j for j, _ in adj), seed
+
+
 def test_knn_graph_k_out_of_range():
     d = _euclidean(_random_points(0, 5, 2))
     with pytest.raises(ValueError):
@@ -90,7 +105,7 @@ def test_geodesics_match_floyd_warshall():
         d = _euclidean(pts)
         g = knn_graph(d, 4)
         expected = floyd_warshall(_dense(g))
-        got = geodesic_distances(g)
+        got = geodesic_distances(g, d)
         assert np.isfinite(got).all()
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
         assert np.array_equal(got, got.T)
@@ -99,7 +114,7 @@ def test_geodesics_match_floyd_warshall():
 def test_geodesics_on_path_graph_sum_edge_weights():
     d = _euclidean(np.array([[0.0], [1.0], [3.0], [7.0]]))
     g = knn_graph(d, 1)
-    geo = geodesic_distances(g)
+    geo = geodesic_distances(g, d)
     assert geo[0, 3] == 1.0 + 2.0 + 4.0
     assert geo[0, 2] == 3.0
 
@@ -108,9 +123,6 @@ def test_disconnected_graph_requires_bridge():
     # two distant clusters; k=1 keeps them separate
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0], [101.0, 0.0]])
     d = _euclidean(pts)
-    g = knn_graph(d, 1)
-    with pytest.raises(ValueError):
-        geodesic_distances(g)
     geo = geodesic_distances(knn_graph(d, 1), bridge_dist=d)
     # the bridge is the shortest inter-cluster distance: 1 <-> 2 at 99
     assert geo[1, 2] == 99.0
@@ -145,6 +157,20 @@ def test_all_pairs_matches_heap_dijkstra_oracle():
         pts = _random_points(seed, 30 + 20 * seed, 3)
         pts[: pts.shape[0] // 2] += 50.0 * (seed % 2)
         g = knn_graph(_euclidean(pts), 1 + seed % 4)
+        assert np.array_equal(_all_pairs(g), all_pairs_oracle(g)), seed
+    # integer grid points with duplicates (zero-weight edges, tied labels),
+    # and asymmetric matrices holding NaN, whose NaN edges must never relax
+    for seed in range(40):
+        rng = SplitMix64(seed)
+        n = 2 + rng.randbelow(50)
+        k = 1 + rng.randbelow(min(5, n - 1))
+        if seed % 2:
+            d = rng.uniforms(n * n).reshape(n, n)
+            d[rng.uniforms(n * n).reshape(n, n) < 0.15] = np.nan
+        else:
+            d = _euclidean(np.array([[rng.randbelow(5), rng.randbelow(5)]
+                                     for _ in range(n)], float))
+        g = knn_graph(d, k)
         assert np.array_equal(_all_pairs(g), all_pairs_oracle(g)), seed
 
 
