@@ -70,10 +70,9 @@ def test_knn_graph_symmetrized_degree_can_exceed_k():
     for i, adj in enumerate(g.adjacency):
         for j, w in adj:
             assert (i, w) in g.adjacency[j]  # undirected
-
-
-def test_knn_graph_lists_are_sorted_by_neighbor():
-    # random, tied (rounded) and NaN-holding matrices, none of them symmetric
+    # every list is sorted by neighbour, here and on random, tied (rounded)
+    # and NaN-holding matrices, none of them symmetric
+    graphs = [g]
     for seed in range(30):
         rng = SplitMix64(seed)
         n = 3 + rng.randbelow(40)
@@ -82,9 +81,9 @@ def test_knn_graph_lists_are_sorted_by_neighbor():
             d = np.round(4.0 * d)
         elif seed % 3 == 2:
             d[rng.uniforms(n * n).reshape(n, n) < 0.2] = np.nan
-        g = knn_graph(d, 1 + rng.randbelow(min(6, n - 1)))
-        for adj in g.adjacency:
-            assert [j for j, _ in adj] == sorted(j for j, _ in adj), seed
+        graphs.append(knn_graph(d, 1 + rng.randbelow(min(6, n - 1))))
+    for adj in (adj for h in graphs for adj in h.adjacency):
+        assert [j for j, _ in adj] == sorted(j for j, _ in adj)
 
 
 def test_knn_graph_k_out_of_range():
