@@ -6,7 +6,8 @@ through the encoder interface (``forward_rows``/``backward_rows``, see
 ``encoder``), backpropagates the margin loss, averages gradients over the
 processed triplets, and applies one Adam update.  Degenerate members
 (unchartable channels) knock out their whole triplet, which is counted
-rather than trained on.
+rather than trained on.  Forward and backward see the parameters read-only,
+and Adam checks each block it writes for finiteness while it is in cache.
 
 A run trains in a fixed working set: one gradient array per parameter is
 allocated once, beside the Adam moments, and every step's backward writes
@@ -128,7 +129,9 @@ def adam_step(state: OptimizerState, params: list, grads: list, cfg: TrainConfig
 
     so the result is bit-identical to it.  ``grads`` are only read.
     Parameters must be C-contiguous: a flattening copy would be updated
-    instead of the parameter, so other layouts raise ValueError.
+    instead of the parameter, so other layouts raise ValueError.  Each block
+    is summed while it is still in cache; if any sum is not finite, the
+    update is completed and FloatingPointError is raised.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state length mismatch")
@@ -142,6 +145,7 @@ def adam_step(state: OptimizerState, params: list, grads: list, cfg: TrainConfig
     b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
+    finite = True
     for p, g, m, v in zip(params, grads, state.m, state.v):
         p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
         for lo in range(0, p.size, _ADAM_BLOCK):
@@ -162,10 +166,9 @@ def adam_step(state: OptimizerState, params: list, grads: list, cfg: TrainConfig
             np.add(b, eps, out=b)
             np.divide(a, b, out=a)
             np.subtract(pb, a, out=pb)
-
-
-def _checksum(params: list) -> float:
-    return float(sum(float(np.sum(p)) for p in params))
+            finite &= math.isfinite(np.add.reduce(pb))
+    if not finite:
+        raise FloatingPointError("non-finite parameters")
 
 
 def _backprop(model, channels: np.ndarray, idx: np.ndarray, margin: float, grads: list):
@@ -200,11 +203,12 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
     back to rows of cs.  ``cs.channels`` may be an array or a
     fileio.RowReader, which reads each step's rows from its file.  All
     three branches of a triplet share the same parameter snapshot within a
-    step (asserted by checksum).
+    step: the parameters are read-only during forward, loss and backward,
+    so a write to them raises at the write.
 
-    A step whose loss sum, or whose updated parameters' checksum, is not
-    finite stops training with ValueError("training diverged: ...") naming
-    its 1-based epoch and step.
+    A step whose loss sum, or any of whose Adam-updated parameter blocks,
+    is not finite stops training with ValueError("training diverged: ...")
+    naming its 1-based epoch and step.
     """
     channels = cs.channels
     rows, _ = split_dataset(channels.shape[0], cfg.split_ratio, substream(cfg.seed, 0))
@@ -220,15 +224,21 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
 
     epoch_losses: list[float] = []
     skipped = 0
-    checksum = _checksum(params)
     for epoch in range(1, cfg.epochs + 1):
         shuffle_rng.shuffle(order)
         loss_sum = 0.0
         loss_count = 0
         for step, b0 in enumerate(range(0, order.size, cfg.batch_size), 1):
             sel = order[b0:b0 + cfg.batch_size]
-            n_ok, step_loss = _backprop(model, channels, trip[sel].T.ravel(),
-                                        cfg.margin, grads)
+            writeable = [p.flags.writeable for p in params]
+            try:
+                for p in params:
+                    p.flags.writeable = False
+                n_ok, step_loss = _backprop(model, channels, trip[sel].T.ravel(),
+                                            cfg.margin, grads)
+            finally:
+                for p, w in zip(params, writeable):
+                    p.flags.writeable = w
             skipped += sel.size - n_ok
             if n_ok == 0:
                 continue
@@ -237,13 +247,11 @@ def train(model, cs, cfg: TrainConfig, mining: MiningConfig) -> TrainReport:
                                  f"step {step}")
             loss_sum += step_loss
             loss_count += n_ok
-            if _checksum(params) != checksum:
-                raise AssertionError("parameters mutated during forward/backward")
-            adam_step(state, params, grads, cfg)
-            checksum = _checksum(params)
-            if not math.isfinite(checksum):
+            try:
+                adam_step(state, params, grads, cfg)
+            except FloatingPointError:
                 raise ValueError(f"training diverged: non-finite parameters at epoch "
-                                 f"{epoch}, step {step}")
+                                 f"{epoch}, step {step}") from None
         if loss_count == 0:
             raise DataError("all training triplets degenerate")
         epoch_losses.append(loss_sum / loss_count)

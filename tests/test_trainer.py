@@ -112,12 +112,15 @@ def test_adam_rejects_mismatches():
         adam_step(state, [p], [np.zeros((2, 2))], cfg)
 
 
-@pytest.mark.parametrize("shapes", [
+ADAM_SHAPES = pytest.mark.parametrize("shapes", [
     [(100,)],
     [(_ADAM_BLOCK,)],
     [(_ADAM_BLOCK + 1,)],
     [(3, 5), (2, _ADAM_BLOCK // 2 + 7), (), (4, 3, 2)],
 ], ids=["below-block", "one-block", "block-plus-one", "mixed"])
+
+
+@ADAM_SHAPES
 def test_adam_is_bitwise_the_textbook_update(shapes):
     cfg = TrainConfig(learning_rate=3e-3)
     rng = SplitMix64(7)
@@ -135,6 +138,36 @@ def test_adam_is_bitwise_the_textbook_update(shapes):
         for got, want in zip(params + state.m + state.v, ref + ref_state.m + ref_state.v):
             assert np.array_equal(got, want)
     assert state.step == ref_state.step == 5
+
+
+@ADAM_SHAPES
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_adam_raises_after_a_non_finite_block(shapes, bad):
+    # one bad gradient entry in the first block, in the last block of the
+    # largest parameter (short unless its size is a multiple of a block), or
+    # in the last parameter; the update still completes, as the textbook one
+    cfg = TrainConfig(learning_rate=3e-3)
+    rng = SplitMix64(11)
+    sizes = [max(1, math.prod(s)) for s in shapes]
+    big = int(np.argmax(sizes))
+    for i, j in [(0, 0), (big, (sizes[big] - 1) // _ADAM_BLOCK * _ADAM_BLOCK),
+                 (len(shapes) - 1, sizes[-1] - 1)]:
+        params = [rng.normals(n).reshape(s) for n, s in zip(sizes, shapes)]
+        ref = [p.copy() for p in params]
+        state = OptimizerState.for_params(params)
+        ref_state = OptimizerState.for_params(ref)
+        grads = [rng.normals(n).reshape(s) for n, s in zip(sizes, shapes)]
+        adam_step(state, params, grads, cfg)  # finite: raises nothing
+        adam_oracle(ref_state, ref, grads, cfg)
+        grads = [rng.normals(n).reshape(s) for n, s in zip(sizes, shapes)]
+        grads[i].reshape(-1)[j] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="^non-finite parameters$"):
+                adam_step(state, params, grads, cfg)
+            adam_oracle(ref_state, ref, grads, cfg)
+        assert not np.isfinite(params[i].reshape(-1)[j])
+        for got, want in zip(params + state.m + state.v, ref + ref_state.m + ref_state.v):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_adam_rejects_non_contiguous_parameter():
@@ -338,15 +371,46 @@ def test_train_survives_a_nan_channel_row(tiny):
     assert all(np.isfinite(a).all() for a in model.arrays())
 
 
+@pytest.mark.parametrize("kind", ["hybrid", "mlp"])
 @pytest.mark.parametrize("lr, what", [(1e300, "loss"), (math.inf, "parameters")])
-def test_train_stops_when_it_diverges(tiny, lr, what):
-    # lr 1e300 overflows the next forward; an infinite lr makes NaN parameters
+def test_train_stops_when_it_diverges(tiny, kind, lr, what):
+    # lr 1e300 overflows the next forward; an infinite lr makes NaN parameters.
+    # The MLP's first layer spans 128 Adam blocks.
     cfg, cs = tiny
     tcfg = dataclasses.replace(cfg.train_config(), learning_rate=lr)
-    model = _tiny_model(cfg, cs, "hybrid")
+    model = _tiny_model(cfg, cs, kind)
     with pytest.raises(ValueError, match=rf"^training diverged: non-finite {what} "
                                          r"at epoch 1, step \d+$"):
         train(model, cs, tcfg, cfg.mining_config(cs.sample_rate))
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "mlp"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["writeable", "frozen"])
+def test_train_stops_at_a_parameter_write_during_a_step(tiny, kind, frozen, monkeypatch):
+    # forward and backward see read-only parameters, so a write there raises
+    # at the write in epoch 1, step 1, before any Adam update; afterwards every
+    # parameter has the writeable flag it had before train
+    cfg, cs = tiny
+    model = _tiny_model(cfg, cs, kind)
+    model.arrays()[-1].flags.writeable = not frozen
+    before = [a.copy() for a in model.arrays()]
+    calls = []
+
+    def scribbling(backward):
+        def run(p, *args):
+            calls.append(None)
+            p.arrays()[0][0, 0] += 1.0
+            return backward(p, *args)
+        return run
+
+    for name in ("backward_batch", "mlp_backward_batch"):
+        monkeypatch.setattr(encoder, name, scribbling(getattr(encoder, name)))
+    with pytest.raises(ValueError, match="read-only"):
+        train(model, cs, cfg.train_config(), cfg.mining_config(cs.sample_rate))
+    assert len(calls) == 1
+    for a, a0 in zip(model.arrays(), before):
+        assert np.array_equal(a, a0)
+    assert [a.flags.writeable for a in model.arrays()] == [True] * (len(before) - 1) + [not frozen]
 
 
 def test_train_epochs_zero_is_a_no_op():
