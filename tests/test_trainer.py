@@ -371,17 +371,25 @@ def test_train_survives_a_nan_channel_row(tiny):
     assert all(np.isfinite(a).all() for a in model.arrays())
 
 
-@pytest.mark.parametrize("kind", ["hybrid", "mlp"])
-@pytest.mark.parametrize("lr, what", [(1e300, "loss"), (math.inf, "parameters")])
-def test_train_stops_when_it_diverges(tiny, kind, lr, what):
-    # lr 1e300 overflows the next forward; an infinite lr makes NaN parameters.
-    # The MLP's first layer spans 128 Adam blocks.
+def _assert_train_stops_when_it_diverges(tiny, kind, lr, what):
     cfg, cs = tiny
     tcfg = dataclasses.replace(cfg.train_config(), learning_rate=lr)
     model = _tiny_model(cfg, cs, kind)
     with pytest.raises(ValueError, match=rf"^training diverged: non-finite {what} "
                                          r"at epoch 1, step \d+$"):
         train(model, cs, tcfg, cfg.mining_config(cs.sample_rate))
+
+
+@pytest.mark.parametrize("lr, what", [(1e300, "loss"), (math.inf, "parameters")])
+def test_train_stops_when_it_diverges(tiny, lr, what):
+    # lr 1e300 overflows the next forward; an infinite lr makes NaN parameters
+    _assert_train_stops_when_it_diverges(tiny, "hybrid", lr, what)
+
+
+@pytest.mark.parametrize("lr, what", [(1e300, "loss"), (math.inf, "parameters")])
+def test_mlp_train_stops_when_it_diverges(tiny, lr, what):
+    # the MLP's first layer spans 128 Adam blocks
+    _assert_train_stops_when_it_diverges(tiny, "mlp", lr, what)
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "mlp"])
