@@ -4,9 +4,15 @@ The hybrid encoder maps a channel vector h to chart coordinates in five
 steps: correlate against a dictionary of reference channels (a = D^H h),
 take moduli (b = |a|), keep the k largest entries, normalize them to sum to
 one, and output the weighted average of the corresponding chart anchors
-(z = Z d).  Both the dictionary D (stored as a real/imaginary pair) and the
-anchor matrix Z are trainable.  The whole map is invariant to scaling and
-global phase of the input by construction.
+(z = Z d).  Both the dictionary D and the anchor matrix Z are trainable.
+The whole map is invariant to scaling and global phase of the input by
+construction.
+
+D is stored as one real array [Re D | Im D | 0], so the hybrid forward
+multiplies each real plane of the channels by it once, and its backward
+forms D's gradient with one product per plane.  The zero pad makes the
+width a multiple of 8 columns: OpenBLAS splits a product's columns between
+threads, and at other widths the results changed with the thread count.
 
 Each encoder has one forward and one hand-derived reverse-mode backward,
 both over batches of rows; one channel is charted as a batch of one.  The
@@ -17,13 +23,15 @@ row would add exact zeros.
 Both parameter classes implement the one encoder interface that the
 trainer, the chart code, the parameter count and the model writer use:
 ``KIND`` is the model kind in ``CCM1`` files; ``arrays()`` lists the
-parameter arrays in Adam and file order; ``forward_rows(channels,
-index)`` charts the rows ``channels[index]`` and returns ``(z, ok,
-cache)``, ``ok`` flagging the chartable rows -- ``channels`` is an array
-or a fileio.RowReader, which reads those rows from its file; and
-``backward_rows(cache, gz, out=None)`` returns the batch-summed gradients
-of ``sum(gz * z)``, one per array, to which not-ok rows add nothing.  Given
-``out``, arrays shaped like ``arrays()``, the gradients are written into
+arrays Adam updates and that gradients are shaped like; ``file_arrays()``
+lists the parameters, without the pad, in ``CCM1`` file order;
+``forward_rows(channels, index)`` charts the rows ``channels[index]`` and
+returns ``(z, ok, cache)``, ``ok`` flagging the chartable rows --
+``channels`` is an array or a fileio.RowReader, which reads those rows
+from its file; and ``backward_rows(cache, gz, out=None)`` returns the
+batch-summed gradients of ``sum(gz * z)``, one per file array, to which
+not-ok rows add nothing.  Given ``out``, arrays shaped like ``arrays()``,
+the gradients are written into them, and those returned are views of
 them, so a training run can keep one gradient set for all its steps.
 """
 
@@ -40,14 +48,16 @@ from .rng import SplitMix64
 
 @dataclass
 class EncoderParams:
-    """Hybrid encoder parameters: dictionary (as a real pair) and chart anchors."""
+    """Hybrid encoder parameters: the stacked dictionary and the chart anchors."""
 
     KIND = 0
 
-    d_re: np.ndarray  # (m, n_init)
-    d_im: np.ndarray  # (m, n_init)
+    d_re: np.ndarray  # (m, n_init), a read-only view of d
+    d_im: np.ndarray  # (m, n_init), a read-only view of d
     z: np.ndarray     # (d_out, n_init)
     k: int
+    # (m, W) [Re D | Im D | 0], W = 2 n_init rounded up to a multiple of 8
+    d: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d_re.shape != self.d_im.shape:
@@ -56,6 +66,11 @@ class EncoderParams:
             raise ValueError("z column count must match dictionary column count")
         if not 1 <= self.k <= self.d_re.shape[1]:
             raise ValueError("k must be in [1, n_init]")
+        m, n = self.d_re.shape
+        self.d = np.zeros((m, (2 * n + 7) // 8 * 8))
+        self.d[:, :n], self.d[:, n:2 * n] = self.d_re, self.d_im
+        self.d_re, self.d_im = self.d[:, :n], self.d[:, n:2 * n]
+        self.d_re.flags.writeable = self.d_im.flags.writeable = False  # write through d
 
     @property
     def m(self) -> int:
@@ -70,6 +85,9 @@ class EncoderParams:
         return self.z.shape[0]
 
     def arrays(self) -> list:
+        return [self.d, self.z]
+
+    def file_arrays(self) -> list:
         return [self.d_re, self.d_im, self.z]
 
     def forward_rows(self, channels, index):
@@ -105,6 +123,8 @@ class MlpParams:
 
     def arrays(self) -> list:
         return list(self.weights)
+
+    file_arrays = arrays
 
     def forward_rows(self, channels, index):
         z, activations, ok = mlp_forward_batch(self, channels[index])
@@ -160,22 +180,24 @@ def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
 
     Given ``index``, an integer array, charts the rows ``channels[index]``.
     The rows are gathered one plane at a time, as a contiguous real array
-    (matmul on strided real/imag views bypasses BLAS): the real plane's two
-    products are formed and the plane freed before the imaginary plane is
-    gathered, so a block never holds both.  With real products and the
-    modulus as sqrt(re^2 + im^2), exact power-of-two input scalings and
-    quarter-turn phase rotations reproduce the output bit-for-bit.
+    (matmul on strided real/imag views bypasses BLAS), and each plane is
+    multiplied once by the stacked dictionary ``p.d``: the real plane is
+    freed before the imaginary plane is gathered, so a block never holds
+    both.  Then a_re = Re h . Re D + Im h . Im D and a_im = Im h . Re D -
+    Re h . Im D are read off the two products' column halves.  With real
+    products and the modulus as sqrt(re^2 + im^2), exact power-of-two input
+    scalings and quarter-turn phase rotations reproduce the output
+    bit-for-bit.
     Degenerate rows chart to zero and are flagged in cache.ok instead of
     raising, so callers can skip and count them.
     """
     channels = np.asarray(channels, dtype=np.complex128)
     rows = slice(None) if index is None else index
-    h = np.ascontiguousarray(channels.real[rows])
-    re_re, re_im = h @ p.d_re, h @ p.d_im
-    del h  # freed before the imaginary plane is gathered
-    h = np.ascontiguousarray(channels.imag[rows])
-    a_re, a_im = re_re + h @ p.d_im, h @ p.d_re - re_im
-    del h, re_re, re_im
+    n = p.n_init
+    re = np.ascontiguousarray(channels.real[rows]) @ p.d  # the plane dies here
+    im = np.ascontiguousarray(channels.imag[rows]) @ p.d
+    a_re, a_im = re[:, :n] + im[:, n:2 * n], im[:, :n] - re[:, n:2 * n]
+    del re, im
     b = np.sqrt(a_re * a_re + a_im * a_im)
     kept_mask = _top_k_mask(b, p.k) & (b > 0.0)
     d = np.where(kept_mask, b, 0.0)
@@ -191,17 +213,17 @@ def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray, out=None
     """Batch-summed hybrid gradients (d_re, d_im, z); not-ok rows contribute nothing.
 
     Only the live rows -- ok rows whose ``gz`` row is nonzero -- enter the
-    dictionary gradients, and only their real and imaginary planes are
+    dictionary gradient, and only their real and imaginary planes are
     gathered from the cache's channels.  Every other row would add exact
-    zeros to each of their sums, so skipping it keeps the result's bits, and
-    a degenerate or non-finite row is never multiplied in.  ``gz.T @ d``
-    runs over all rows.  Given ``out``, three arrays shaped like the
-    parameters, the gradients are written into them and those arrays are
-    returned.
+    zeros to each of its sums, so skipping it keeps the result's bits, and
+    a degenerate or non-finite row is never multiplied in.  The stacked
+    dictionary's gradient is Re h^T [ga_re | -ga_im | 0] + Im h^T [ga_im |
+    ga_re | 0], one product per plane, so Adam leaves its zero pad at zero;
+    the d_re and d_im gradients returned are views of it.  ``gz.T @ d`` runs
+    over all rows.  Given ``out``, arrays shaped like ``p.arrays()``, the
+    gradients are written into them.
     """
-    if out is None:
-        out = (np.empty(p.d_re.shape), np.empty(p.d_im.shape), np.empty(p.z.shape))
-    gd_re, gd_im, gz_mat = out
+    gd_dict, gz_mat = (np.empty(p.d.shape), np.empty(p.z.shape)) if out is None else out
     gz = np.where(cache.ok[:, None], gz, 0.0)
     np.matmul(gz.T, cache.d, out=gz_mat)
     live = np.flatnonzero(np.any(gz != 0.0, axis=1))
@@ -210,15 +232,16 @@ def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray, out=None
     inner = np.sum(gd * d, axis=1)
     gc = np.where(cache.kept_mask[live], gd - inner[:, None], 0.0) / cache.s[live, None]
     safe_b = np.where(b > 0.0, b, 1.0)
-    ga_re = gc * cache.a_re[live] / safe_b
-    ga_im = gc * cache.a_im[live] / safe_b
+    n = p.n_init
+    g1, g2 = np.zeros((2, live.size, p.d.shape[1]))
+    np.divide(gc * cache.a_re[live], safe_b, out=g1[:, :n])  # ga_re
+    np.divide(gc * cache.a_im[live], safe_b, out=g2[:, :n])  # ga_im
+    np.negative(g2[:, :n], out=g1[:, n:2 * n])
+    g2[:, n:2 * n] = g1[:, :n]
     rows = live if cache.rows is None else cache.rows[live]
-    h_re, h_im = cache.channels.real[rows], cache.channels.imag[rows]
-    np.matmul(h_re.T, ga_re, out=gd_re)
-    gd_re += h_im.T @ ga_im
-    np.matmul(h_im.T, ga_re, out=gd_im)
-    gd_im -= h_re.T @ ga_im
-    return gd_re, gd_im, gz_mat
+    np.matmul(cache.channels.real[rows].T, g1, out=gd_dict)
+    gd_dict += cache.channels.imag[rows].T @ g2
+    return gd_dict[:, :n], gd_dict[:, n:2 * n], gz_mat
 
 
 def smart_atoms(n: int, n_init: int, seed: int) -> np.ndarray:
@@ -306,8 +329,8 @@ def mlp_backward_batch(p: MlpParams, activations: list, gz: np.ndarray, ok: np.n
 
 
 def count_params(model) -> int:
-    """Trainable parameter count of an encoder."""
-    return sum(a.size for a in model.arrays())
+    """Trainable parameter count of an encoder; the dictionary's pad is not counted."""
+    return sum(a.size for a in model.file_arrays())
 
 
 # chart_batch charts this many rows per encoder call.  Blocks of 500 rows or

@@ -246,7 +246,7 @@ def write_model(path: str, model) -> None:
     with _replacing(path) as fh:
         fh.write(MAGIC_MODEL)
         fh.write(struct.pack(f"<{1 + len(header)}Q", kind, *header))
-        for arr in model.arrays():
+        for arr in model.file_arrays():
             _write_f64(fh, arr)
 
 

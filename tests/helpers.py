@@ -241,9 +241,13 @@ def full_row_backward_batch(p, cache, gz, out=None):
     The h planes of all charted rows are gathered from the cache's
     ``channels`` and ``rows``.  Not-ok rows get zero output and correlation
     gradients, and their h planes are zeroed in a copy, so non-finite
-    channels cannot leak in as NaN*0.  This was the package's
-    ``backward_batch`` before it multiplied only the live rows and wrote
-    into ``out``; given ``out``, the gradients are copied into it.
+    channels cannot leak in as NaN*0.  The dictionary gradient is the
+    package's two stacked products, Re h^T [ga_re | -ga_im | 0] + Im h^T
+    [ga_im | ga_re | 0], over every row; this was ``backward_batch`` before
+    it multiplied only the live rows and wrote into ``out``.  Returns the
+    (d_re, d_im, z) gradients, the first two as views of the stacked one;
+    given ``out``, arrays shaped like ``p.arrays()``, the gradients are
+    copied into it and the views are of it.
     """
     ok = cache.ok
     gz = np.array(gz, dtype=np.float64)
@@ -265,13 +269,16 @@ def full_row_backward_batch(p, cache, gz, out=None):
         ga_im[~ok] = 0.0
         h_re = np.where(ok[:, None], h_re, 0.0)
         h_im = np.where(ok[:, None], h_im, 0.0)
-    gd_re = h_re.T @ ga_re + h_im.T @ ga_im
-    gd_im = h_im.T @ ga_re - h_re.T @ ga_im
-    if out is None:
-        return gd_re, gd_im, gz_mat
-    for dst, src in zip(out, (gd_re, gd_im, gz_mat)):
-        np.copyto(dst, src)
-    return out
+    n = p.n_init
+    g1, g2 = np.zeros((ga_re.shape[0], p.d.shape[1])), np.zeros((ga_re.shape[0], p.d.shape[1]))
+    g1[:, :n], g1[:, n:2 * n] = ga_re, -ga_im
+    g2[:, :n], g2[:, n:2 * n] = ga_im, ga_re
+    gd = h_re.T @ g1 + h_im.T @ g2
+    if out is not None:
+        np.copyto(out[0], gd)
+        np.copyto(out[1], gz_mat)
+        gd, gz_mat = out
+    return gd[:, :n], gd[:, n:2 * n], gz_mat
 
 
 def hard_threshold(v: np.ndarray, k: int):

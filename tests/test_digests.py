@@ -9,8 +9,9 @@ commits the new ledger, which the failure message prints, and says why.
 
 The bytes depend on the numpy build and the BLAS kernels, so the ledger
 records the fingerprint of the machine it was written on.  Elsewhere the
-ledger check is skipped and names both fingerprints; the thread-count check
-runs everywhere.
+ledger check is skipped and names both fingerprints.  The thread-count check
+runs everywhere: it runs ``compare`` on ``tiny``, and on ``tiny`` with 100
+atoms, at one and at two BLAS threads and requires the same files.
 """
 
 import hashlib
@@ -88,14 +89,27 @@ def test_artifact_bytes_match_the_ledger(artifacts):
     assert not differ, f"files that differ from the ledger: {differ}\nnew ledger:\n{new_ledger}"
 
 
-def test_compare_bytes_do_not_depend_on_blas_threads(artifacts, tmp_path):
+@pytest.mark.parametrize("n_init", [None, 100], ids=["tiny", "tiny-n_init-100"])
+def test_compare_bytes_do_not_depend_on_blas_threads(n_init, tmp_path):
+    # both sides run in their own process with a set thread count, so the
+    # check holds on a one-core machine too; at n_init 100 the dictionary is
+    # 200 columns wide, where tiny's 30 atoms make it 64 with its pad
     src = os.path.dirname(os.path.dirname(os.path.abspath(chanchart.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-m", "chanchart.cli", "compare", "--preset", "tiny",
-                          "--out", str(tmp_path / "compare")], env=env, capture_output=True,
-                         text=True)
-    assert run.returncode == 0, run.stderr
-    single = _digests(tmp_path / "compare")
-    assert len(single) == 13
-    assert single == _digests(artifacts / "compare")
+    source = ["--preset", "tiny"]
+    if n_init is not None:
+        doc = preset("tiny").to_dict()
+        doc["encoder"]["n_init"] = n_init
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        source = ["--config", str(tmp_path / "config.json")]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / f"threads-{threads}"
+        run = subprocess.run([sys.executable, "-m", "chanchart.cli", "compare", *source,
+                              "--out", str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests.append(_digests(out))
+    assert len(digests[0]) == 13
+    differ = sorted(name for name in digests[0] if digests[0][name] != digests[1].get(name))
+    assert not differ, f"files that differ between 1 and 2 BLAS threads: {differ}"

@@ -297,11 +297,14 @@ def test_backward_batch_is_bitwise_the_full_row_oracle(case):
         assert np.isfinite(g).all()
         assert np.array_equal(g, w)
     # written in place, over stale values: with no live row the dictionary
-    # products have an empty inner dimension and must still write zeros
+    # products have an empty inner dimension and must still write zeros; the
+    # d_re and d_im gradients are views of the stacked one, whose pad is zero
     out = [np.full(a.shape, np.nan) for a in p.arrays()]
     in_place = backward_batch(p, cache, gz, out)
-    for g, o, w in zip(in_place, out, want):
-        assert g is o
+    assert in_place[0].base is out[0] and in_place[1].base is out[0]
+    assert in_place[2] is out[1]
+    assert np.array_equal(out[0][:, 2 * p.n_init:], np.zeros((10, 2)))
+    for g, w in zip(in_place, want):
         assert np.array_equal(g, w)
 
 

@@ -10,6 +10,7 @@ import pytest
 from chanchart import encoder, trainer
 from chanchart.config import preset
 from chanchart.encoder import EncoderParams, init_random, init_smart, mlp_init
+from chanchart.fileio import read_model, write_model
 from chanchart.rng import SplitMix64, substream
 from chanchart.synthgen import (
     ChannelSet,
@@ -222,6 +223,30 @@ def test_train_updates_all_parameter_arrays():
         assert not np.array_equal(b, a)
 
 
+def test_hybrid_dictionary_pad_stays_zero(tmp_path):
+    # 30 atoms store a (m, 64) dictionary [Re D | Im D | 0]: the four pad
+    # columns start at zero, stay out of the model file, come back as zero,
+    # and get zero gradients, so Adam's update there is 0 / eps
+    cs = _small_channelset()
+    m = cs.channels.shape[1]
+    mining = MiningConfig(t_close=1.0, t_far=3.0, sample_rate=cs.sample_rate, seed=5)
+    path = tmp_path / "model.bin"
+    for model in (init_random(m, 30, 4, 2, seed=1), init_smart(cs, 30, 4, 4, 2, seed=3)):
+        assert model.d.shape == (m, 64) and model.d.flags.c_contiguous
+        assert not model.d[:, 60:].any()
+        with pytest.raises(ValueError, match="read-only"):
+            model.d_re[0, 0] = 1.0  # the parameters are written through d alone
+        write_model(str(path), model)
+        header = len(b"CCM1") + 5 * 8  # magic, then kind, M, N_init, D_out, k
+        assert path.stat().st_size - header == 8 * 30 * (2 * m + 2)
+        back = read_model(str(path))
+        assert np.array_equal(back.d, model.d)
+        before = model.d.copy()
+        train(model, cs, TrainConfig(epochs=3, batch_size=16, seed=9), mining)
+        assert not np.array_equal(model.d[:, :60], before[:, :60])
+        assert not model.d[:, 60:].any()
+
+
 def test_train_mlp_smoke():
     cs = _small_channelset()
     mining = MiningConfig(t_close=1.0, t_far=3.0, sample_rate=cs.sample_rate, seed=5)
@@ -268,10 +293,12 @@ def _tiny_model(cfg, cs, kind: str):
 
 
 def _allocating(backward):
-    """``backward`` computing fresh gradient arrays, then copying them into ``out``."""
-    def run(*args):
+    """``backward`` writing into fresh gradient arrays, then copying them into ``out``."""
+    def run(p, *args):
         *args, out = args
-        for dst, src in zip(out, backward(*args)):
+        fresh = [np.empty(a.shape) for a in p.arrays()]
+        backward(p, *args, fresh)
+        for dst, src in zip(out, fresh):
             np.copyto(dst, src)
         return out
     return run
