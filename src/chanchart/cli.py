@@ -157,12 +157,8 @@ def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
               out_base: str) -> int:
     # each chart block's rows are read as it is charted
     model = fileio.read_model(model_path)
-
-    def check(n: int, m: int) -> None:
-        _check_m(model, m)
-        _check_2d(model.d_out)
-
-    with _dataset(cfg, data_path, check) as cs:
+    _check_2d(model.d_out)
+    with _dataset(cfg, data_path, lambda n, m: _check_m(model, m)) as cs:
         chart, ok = encoder.chart_batch(model, cs.channels)
     csv_path, svg_path = out_base + ".csv", out_base + ".svg"
     fileio.write_text(csv_path, fileio.chart_csv(chart, cs.positions))

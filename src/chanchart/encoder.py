@@ -22,9 +22,10 @@ row would add exact zeros.
 
 Both parameter classes implement the one encoder interface that the
 trainer, the chart code, the parameter count and the model writer use:
-``KIND`` is the model kind in ``CCM1`` files; ``arrays()`` lists the
-arrays Adam updates and that gradients are shaped like; ``file_arrays()``
-lists the parameters, without the pad, in ``CCM1`` file order;
+``KIND`` is the model kind in ``CCM1`` files; ``m`` and ``d_out`` are the
+channel length and the chart dimension; ``arrays()`` lists the arrays
+Adam updates and that gradients are shaped like; ``file_arrays()`` lists
+the parameters, without the pad, in ``CCM1`` file order;
 ``forward_rows(channels, index)`` charts the rows ``channels[index]`` and
 returns ``(z, ok, cache)``, ``ok`` flagging the chartable rows --
 ``channels`` is an array or a fileio.RowReader, which reads those rows
@@ -255,13 +256,9 @@ def init_smart(cs, n_init: int, k_iso: int, k: int, d_out: int, seed: int) -> En
     """Dictionary = a seeded random subset of collected channels; anchors = its Isomap chart."""
     atoms = cs.channels[smart_atoms(cs.channels.shape[0], n_init, seed)]
     emb = isomap(distance_matrix(atoms), k_iso, d_out)
-    d = atoms.T
-    return EncoderParams(
-        d_re=np.ascontiguousarray(d.real),
-        d_im=np.ascontiguousarray(d.imag),
-        z=np.ascontiguousarray(emb.coords.T),
-        k=k,
-    )
+    # EncoderParams copies the atom planes into d; Adam needs z C-contiguous
+    return EncoderParams(d_re=atoms.T.real, d_im=atoms.T.imag,
+                         z=np.ascontiguousarray(emb.coords.T), k=k)
 
 
 def _xavier(rng: SplitMix64, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -346,21 +343,17 @@ def chart_batch(model, channels, index=None):
 
     Charts the rows ``channels[index]`` (every row when ``index`` is None)
     in blocks of CHART_ROWS rows, so the encoder's per-row intermediates
-    never exceed one block.  Each block of rows is gathered only when it is
-    charted, by the encoder itself, so the hybrid makes no complex copy of
-    it; ``channels`` may also be a fileio.RowReader, which reads the block's
-    rows from its file.
+    never exceed one block.  The (n, model.d_out) result is allocated once
+    and filled block by block; with no rows the encoder is not called.
+    Each block's rows are gathered only when it is charted, by the encoder
+    itself, so the hybrid makes no complex copy of them; ``channels`` may
+    also be a fileio.RowReader, which reads the block's rows from its file.
     """
     index = np.arange(channels.shape[0]) if index is None else index
     n = len(index)
-    z = ok = None
-    for lo in range(0, max(n, 1), CHART_ROWS):  # one empty block when n == 0
+    z, ok = np.empty((n, model.d_out)), np.empty(n, dtype=bool)
+    for lo in range(0, n, CHART_ROWS):
         hi = min(lo + CHART_ROWS, n)
         # [:2] drops the block's cache before the next block is charted
-        z_block, ok_block = model.forward_rows(channels, index[lo:hi])[:2]
-        if z is None:
-            z = np.empty((n,) + z_block.shape[1:])
-            ok = np.empty(n, dtype=bool)
-        z[lo:hi] = z_block
-        ok[lo:hi] = ok_block
+        z[lo:hi], ok[lo:hi] = model.forward_rows(channels, index[lo:hi])[:2]
     return z, ok

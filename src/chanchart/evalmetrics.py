@@ -57,9 +57,9 @@ def _max_k(n: int) -> int:
     return (2 * n - 2) // 3
 
 
-def _check_k(n: int, k: int, error=ValueError) -> None:
+def _check_k(n: int, k: int) -> None:
     if not 1 <= k <= _max_k(n):
-        raise error(f"K={k} outside [1, {_max_k(n)}] for n={n}")
+        raise DataError(f"K={k} outside [1, {_max_k(n)}] for n={n}")
 
 
 def _penalties(rank_sq, rank_sorted, nn_sq, nn_sorted, ks) -> np.ndarray:
@@ -165,8 +165,8 @@ def evaluate(model, cs, indices, k_grid=DEFAULT_K_GRID) -> MetricsReport:
 
     K = max(1, round(frac * n_eval)) per fraction.  Degenerate (unchartable)
     samples are dropped and counted; fewer than 3 chartable samples, or a K
-    too large for them, is a DataError.  The model is an encoder,
-    EncoderParams or MlpParams.
+    too large for them (checked before any ranking), is a DataError.  The
+    model is an encoder, EncoderParams or MlpParams.
 
     The selected channels are gathered and charted one chart_batch block at
     a time, and both spaces are ranked in row blocks, so memory stays
@@ -182,8 +182,6 @@ def evaluate(model, cs, indices, k_grid=DEFAULT_K_GRID) -> MetricsReport:
     if n_eval < 3:
         raise DataError("fewer than 3 chartable samples")
     ks = [max(1, int(math.floor(frac * n_eval + 0.5))) for frac in k_grid]
-    for k in ks:
-        _check_k(n_eval, k, DataError)
     scores = _scores(positions, chart, ks)
     rows = [(k, float(frac), tw, ct) for k, frac, (tw, ct) in zip(ks, k_grid, scores)]
     return MetricsReport(rows=rows, n_eval=n_eval, skipped=skipped)

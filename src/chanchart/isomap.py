@@ -2,13 +2,13 @@
 
 Pipeline: symmetrized k-nearest-neighbor graph, all-pairs shortest paths
 (one Dijkstra per source, every source run in lockstep as O(n^2) array
-passes, with minimum-cross-edge bridging when the paths show the graph
-falls apart into components), then classical multidimensional scaling on
-LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).  Only used at
-encoder-initialization scale (a few hundred points), so everything favors
-determinism over asymptotics.  The pure-Python cyclic Jacobi solver
-``jacobi_eigh`` is kept as the reference that the tests check MDS against;
-the pipeline does not call it.
+passes over one weight matrix, into which minimum-cross-edge bridges are
+written when the paths show the graph falls apart into components), then
+classical multidimensional scaling on LAPACK's symmetric eigensolver
+(``numpy.linalg.eigh``).  Only used at encoder-initialization scale (a
+few hundred points), so everything favors determinism over asymptotics.
+The pure-Python cyclic Jacobi solver ``jacobi_eigh`` is kept as the
+reference that the tests check MDS against; the pipeline does not call it.
 """
 
 from __future__ import annotations
@@ -66,36 +66,35 @@ def geodesic_distances(g: NeighborGraph, bridge_dist: np.ndarray) -> np.ndarray:
     result is exactly symmetric.  A pair left at inf lies in two components,
     and each component is named by its lowest index.  A disconnected graph
     is bridged using the original distance matrix (`bridge_dist`): the
-    single minimum-weight edge between two components is added to
-    ``g.adjacency`` until one component remains, then the paths are run
-    again.
+    single minimum-weight edge between two components is written into the
+    weight matrix until one component remains, then the paths are run
+    again.  The graph ``g`` is left unchanged.
     """
-    out = _all_pairs(g)
+    w = np.full((g.n, g.n), np.inf)
+    for u, adj in enumerate(g.adjacency):
+        for v, wt in adj:
+            w[u, v] = wt
+    out = _all_pairs(w)
     labels = np.argmax(np.isfinite(out), axis=1)
     if labels.any():
         dist = np.asarray(bridge_dist, dtype=np.float64)
         while labels.any():
             cross = labels[:, None] != labels[None, :]
             i, j = divmod(int(np.argmin(np.where(cross, dist, np.inf))), g.n)
-            for a, b in ((i, j), (j, i)):
-                g.adjacency[a].append((b, float(dist[i, j])))
-                g.adjacency[a].sort()
+            w[i, j] = w[j, i] = dist[i, j]
             labels[labels == max(labels[i], labels[j])] = min(labels[i], labels[j])
-        out = _all_pairs(g)
+        out = _all_pairs(w)
     return out
 
 
-def _all_pairs(g: NeighborGraph) -> np.ndarray:
-    # Row s of dist is Dijkstra from source s.  Each of the n rounds settles
-    # every row's nearest unsettled node u (settled entries are keyed +inf;
-    # a row with none left re-settles one) and relaxes u's edges.  As no edge
+def _all_pairs(w: np.ndarray) -> np.ndarray:
+    # w is the (n, n) weight matrix, inf where there is no edge.  Row s of
+    # dist is Dijkstra from source s.  Each of the n rounds settles every
+    # row's nearest unsettled node u (settled entries are keyed +inf; a row
+    # with none left re-settles one) and relaxes u's edges.  As no edge
     # weighs below 0, fmin never lowers a settled label, and it never takes a
     # NaN edge; each label ends as the least fl(d_u + w_uv) over its neighbours.
-    n = g.n
-    w = np.full((n, n), np.inf)
-    for u, adj in enumerate(g.adjacency):
-        for v, wt in adj:
-            w[u, v] = wt
+    n = w.shape[0]
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     settled = np.zeros((n, n))

@@ -152,7 +152,10 @@ class FunctionEncoder:
 
     ``forward_rows(channels, index)`` returns ``(fn(channels[index]), ones,
     None)``: every row is chartable, and there is no cache to train from.
+    ``fn`` maps a block of rows to ``d_out`` = 2 chart columns.
     """
+
+    d_out = 2
 
     def __init__(self, fn):
         self.fn = fn

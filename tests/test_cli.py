@@ -5,12 +5,15 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import chanchart
 from chanchart import encoder, fileio, synthgen, trainer
 from chanchart.cli import main
 from chanchart.config import ExperimentConfig, derive_seeds, preset
@@ -127,9 +130,9 @@ def test_compare_writes_all_artifacts_deterministically(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def tiny_compare(tmp_path_factory):
-    """compare's artifacts on the tiny preset, without the MLP arm."""
+    """compare's artifacts on the tiny preset, MLP arm included."""
     d = tmp_path_factory.mktemp("compare")
-    cfg = _write_doc(d, _tiny_doc(baseline={"mlp": False}))
+    cfg = _write_doc(d, _tiny_doc(baseline={"mlp": True}))
     assert main(["compare", "--config", cfg, "--out", str(d / "out")]) == 0
     return d / "out"
 
@@ -154,6 +157,23 @@ def test_file_verbs_write_the_bytes_compare_writes(tmp_path, capsys, tiny_compar
     header, *rows = (tiny_compare / "metrics.csv").read_text().splitlines()
     assert header.startswith("arm,phase,")
     trained = [row.split(",", 2)[2] for row in rows if row.startswith(f"{arm},trained,")]
+    assert len(trained) == len(preset("tiny").k_grid)
+    assert open(metrics).read().splitlines() == [header.split(",", 2)[2]] + trained
+
+
+def test_eval_and_chart_of_compare_mlp_model_write_compare_bytes(tmp_path, capsys,
+                                                                  tiny_compare):
+    # the MLP model file compare writes, read back by the verbs that chart it
+    cfg = _write_doc(tmp_path, _tiny_doc())
+    data, metrics, chart = (str(tmp_path / n) for n in ("data.bin", "metrics.csv", "chart"))
+    common = ["--config", cfg, "--data", data, "--model", str(tiny_compare / "model_mlp.bin")]
+    assert main(["generate", "--config", cfg, "--out", data]) == 0
+    assert main(["eval", *common, "--out", metrics]) == 0
+    assert main(["chart", *common, "--out", chart]) == 0
+    for got, name in ((chart + ".csv", "chart_mlp.csv"), (chart + ".svg", "chart_mlp.svg")):
+        assert open(got, "rb").read() == (tiny_compare / name).read_bytes(), name
+    header, *rows = (tiny_compare / "metrics.csv").read_text().splitlines()
+    trained = [row.split(",", 2)[2] for row in rows if row.startswith("mlp,trained,")]
     assert len(trained) == len(preset("tiny").k_grid)
     assert open(metrics).read().splitlines() == [header.split(",", 2)[2]] + trained
 
@@ -354,6 +374,10 @@ def test_chart_requires_2d_model(tmp_path, capsys):
                  "--out", str(tmp_path / "chart")])
     assert code == 3
     assert "d_out=3" in _stderr_error(capsys)["detail"]
+    # the 2-D rule is checked before the dataset is opened
+    code = main(["chart", "--config", cfg, "--data", str(tmp_path / "missing.bin"),
+                 "--model", model, "--out", str(tmp_path / "chart")])
+    assert code == 3 and "d_out=3" in _stderr_error(capsys)["detail"]
     # compare exports every arm's chart, so it refuses before writing anything
     assert _compare_refuses(tmp_path, capsys, cfg) == {
         "error": "dimension", "detail": "chart export needs a 2-D chart, model has d_out=3"}
@@ -755,31 +779,33 @@ def test_failed_write_names_the_requested_path(tmp_path, capsys, verb):
 @pytest.mark.parametrize("verb", ["train", "eval", "chart"])
 def test_model_of_another_m_exits_3_before_reading_any_channel(tmp_path, capsys, verb):
     # a default-size dataset (97 MB of zero channels, sparse on disk) and an
-    # M = 16 model: the verb must stop at the header
+    # M = 16 hybrid or MLP model: the verb must stop at the header
     n, m = 5910, 1024
     data = tmp_path / "data.bin"
     with open(data, "wb") as fh:
         fh.write(fileio.MAGIC_DATASET + struct.pack("<3Q", n, m, 2))
         fh.truncate(28 + 8 * n * (2 + 2 * m))
     model = str(tmp_path / "model.bin")
-    fileio.write_model(model, encoder.init_random(16, 30, 5, 2, seed=1))
     argv = [verb, "--preset", "default", "--data", str(data), "--out", str(tmp_path / "out"),
             "--model-in" if verb == "train" else "--model", model]
-    capsys.readouterr()
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0]) == {
-        "error": "dimension",
-        "detail": "model expects M=16 channel entries, dataset has M=1024"}
-    assert peak < 1 << 20
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "model.bin"]
+    for params in (encoder.init_random(16, 30, 5, 2, seed=1),
+                   encoder.mlp_init(16, seed=1, hidden=(8, 4))):
+        fileio.write_model(model, params)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "dimension",
+            "detail": "model expects M=16 channel entries, dataset has M=1024"}
+        assert peak < 1 << 20
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.bin", "model.bin"]
 
 
 def test_generate_chart_and_eval_memory_does_not_grow_with_n(tmp_path, capsys):
@@ -972,3 +998,20 @@ def test_non_list_scatterer_gains_exit_2(tmp_path, capsys, verb):
     assert len(err) == 1
     assert json.loads(err[0])["detail"].startswith("scenario.scatterers.gains:")
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_cli_imports_nothing_beyond_numpy_and_the_standard_library():
+    # numpy is the only runtime dependency; where other packages are
+    # installed, a stray import of one would otherwise go unnoticed
+    code = ("import sys; before = set(sys.modules); import chanchart.cli; "
+            "print(*{name.partition('.')[0] for name in set(sys.modules) - before})")
+    src = os.path.dirname(os.path.dirname(chanchart.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert set(out.split()) - sys.stdlib_module_names == {"chanchart", "numpy"}

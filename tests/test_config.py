@@ -182,6 +182,7 @@ _EXPLICIT = {
     ("radio", "n_cols", 2.0, r"^scenario.radio.n_cols: expected an integer, got 2.0$"),
     ("radio", "bs_position", [1.0, 2.0],
      r"^scenario.radio.bs_position: expected a 3-element list$"),
+    ("training", "epochs", -1, r"^training.epochs must be >= 0$"),
 ])
 def test_bad_values_rejected_at_parse_time(section, key, value, match):
     # json.loads accepts NaN and Infinity, so a config file can carry them

@@ -394,6 +394,19 @@ def test_init_smart_rejects_oversized_subset():
         init_smart(cs, 6, 2, 2, 2, seed=0)
 
 
+def test_params_reject_shapes_that_do_not_fit():
+    d, z = np.zeros((4, 3)), np.zeros((2, 3))
+    for kw, match in ((dict(d_im=np.zeros((4, 2))), "^d_re and d_im shapes differ$"),
+                      (dict(z=np.zeros((2, 4))),
+                       "^z column count must match dictionary column count$"),
+                      (dict(k=0), r"^k must be in \[1, n_init\]$"),
+                      (dict(k=4), r"^k must be in \[1, n_init\]$")):
+        with pytest.raises(ValueError, match=match):
+            EncoderParams(**{"d_re": d, "d_im": d, "z": z, "k": 1, **kw})
+    with pytest.raises(ValueError, match="^layer dimensions do not chain$"):
+        MlpParams(weights=[np.zeros((5, 8)), np.zeros((2, 4))])
+
+
 def test_init_random_bounds_and_determinism():
     p = init_random(16, 10, 5, 2, seed=9)
     q = init_random(16, 10, 5, 2, seed=9)

@@ -94,6 +94,14 @@ def test_knn_graph_k_out_of_range():
         knn_graph(d, 5)
 
 
+def test_classical_mds_d_out_out_of_range():
+    d = _euclidean(_random_points(0, 5, 2))
+    with pytest.raises(ValueError, match=r"^d_out must be >= 1$"):
+        classical_mds(d, 0)
+    with pytest.raises(ValueError, match=r"^need at least d_out=6 points, got 5$"):
+        classical_mds(d, 6)
+
+
 # ---------------------------------------------------------------------------
 # geodesics
 
@@ -145,7 +153,8 @@ def test_bridging_matches_depth_first_oracle():
         most = max(most, components)
         got = geodesic_distances(g, bridge_dist=d)
         assert np.array_equal(got, bridged_geodesics_oracle(ref, d)), seed
-        assert g.adjacency == ref.adjacency, seed
+        # the bridges go into the weight matrix; the input graph is left alone
+        assert g.adjacency == knn_graph(d, k).adjacency, seed
         assert np.isfinite(got).all()
     assert disconnected >= 40 and most >= 10
 
@@ -156,7 +165,7 @@ def test_all_pairs_matches_heap_dijkstra_oracle():
         pts = _random_points(seed, 30 + 20 * seed, 3)
         pts[: pts.shape[0] // 2] += 50.0 * (seed % 2)
         g = knn_graph(_euclidean(pts), 1 + seed % 4)
-        assert np.array_equal(_all_pairs(g), all_pairs_oracle(g)), seed
+        assert np.array_equal(_all_pairs(_dense(g)), all_pairs_oracle(g)), seed
     # integer grid points with duplicates (zero-weight edges, tied labels),
     # and asymmetric matrices holding NaN, whose NaN edges must never relax
     for seed in range(40):
@@ -170,7 +179,7 @@ def test_all_pairs_matches_heap_dijkstra_oracle():
             d = _euclidean(np.array([[rng.randbelow(5), rng.randbelow(5)]
                                      for _ in range(n)], float))
         g = knn_graph(d, k)
-        assert np.array_equal(_all_pairs(g), all_pairs_oracle(g)), seed
+        assert np.array_equal(_all_pairs(_dense(g)), all_pairs_oracle(g)), seed
 
 
 def _dense(g) -> np.ndarray:

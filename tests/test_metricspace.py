@@ -86,3 +86,5 @@ def test_distance_matrix_zero_row_rejected():
     with pytest.raises(ValueError) as err:
         distance_matrix(rows)
     assert "2" in str(err.value)
+    with pytest.raises(ValueError, match="^expected a 2-D array of channel rows$"):
+        distance_matrix(rows[0])

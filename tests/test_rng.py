@@ -150,3 +150,14 @@ def test_substream_matches_raw_outputs():
 def test_substreams_are_distinct():
     seeds = {substream(0, i) for i in range(100)}
     assert len(seeds) == 100
+
+
+def test_out_of_range_counts_are_rejected():
+    rng = SplitMix64(0)
+    for call, match in ((lambda: rng.u64s(-1), "^n must be >= 0$"),
+                        (lambda: rng.randbelow(0), "^n must be positive$"),
+                        (lambda: rng.sample(3, 4), "^need 0 <= k <= n$"),
+                        (lambda: rng.sample(3, -1), "^need 0 <= k <= n$"),
+                        (lambda: substream(0, -1), "^stream must be >= 0$")):
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -80,6 +80,8 @@ def test_trajectory_validation():
         TrajectoryConfig(waypoints=[[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0]])
     with pytest.raises(ValueError, match="2\\^53"):
         TrajectoryConfig(waypoints=[[0.0, 0.0], [1.0, 0.0]], speed=1e-300, sample_rate=1e300)
+    with pytest.raises(ValueError, match="^n_samples and geometry_samples must be >= 2$"):
+        loop_scenario(1)
 
 
 def test_loop_scenario_sample_count_and_spacing():
