@@ -124,15 +124,22 @@ def cmd_init(cfg: ExperimentConfig, data_path: str, out_path: str) -> int:
     return 0
 
 
+def _train_and_save(cfg: ExperimentConfig, model, cs, model_path: str,
+                    loss_path: str | None):
+    """Train ``model`` on ``cs``, write it, and write its loss CSV if a path is given."""
+    report = train(model, cs, cfg.train_config(), cfg.mining_config(cs.sample_rate))
+    fileio.write_model(model_path, model)
+    if loss_path is not None:
+        fileio.write_text(loss_path, fileio.loss_csv(report.epoch_losses))
+    return report
+
+
 def cmd_train(cfg: ExperimentConfig, data_path: str, model_in: str,
               model_out: str, loss_path: str | None) -> int:
     # each step reads its batch's rows; train takes the training split itself
     model = fileio.read_model(model_in)
     with _dataset(cfg, data_path, lambda n, m: _check_m(model, m)) as cs:
-        report = train(model, cs, cfg.train_config(), cfg.mining_config(cs.sample_rate))
-    fileio.write_model(model_out, model)
-    if loss_path is not None:
-        fileio.write_text(loss_path, fileio.loss_csv(report.epoch_losses))
+        report = _train_and_save(cfg, model, cs, model_out, loss_path)
     print(f"train: {len(report.epoch_losses)} epochs, mean loss "
           f"{report.epoch_losses[0]:.6f} -> {report.epoch_losses[-1]:.6f}, "
           f"wrote {model_out}")
@@ -153,19 +160,23 @@ def cmd_eval(cfg: ExperimentConfig, data_path: str, model_path: str,
     return 0
 
 
+def _save_chart(model, cs, base: str) -> int:
+    """Chart every row of ``cs`` into base.csv and base.svg; return the degenerate count."""
+    chart, ok = encoder.chart_batch(model, cs.channels)
+    fileio.write_text(base + ".csv", fileio.chart_csv(chart, cs.positions))
+    fileio.write_text(base + ".svg", fileio.chart_svg(chart))
+    return int(chart.shape[0] - np.count_nonzero(ok))
+
+
 def cmd_chart(cfg: ExperimentConfig, data_path: str, model_path: str,
               out_base: str) -> int:
     # each chart block's rows are read as it is charted
     model = fileio.read_model(model_path)
     _check_2d(model.d_out)
     with _dataset(cfg, data_path, lambda n, m: _check_m(model, m)) as cs:
-        chart, ok = encoder.chart_batch(model, cs.channels)
-    csv_path, svg_path = out_base + ".csv", out_base + ".svg"
-    fileio.write_text(csv_path, fileio.chart_csv(chart, cs.positions))
-    fileio.write_text(svg_path, fileio.chart_svg(chart))
-    skipped = int(chart.shape[0] - np.count_nonzero(ok))
+        skipped = _save_chart(model, cs, out_base)
     note = f" ({skipped} degenerate samples charted at origin)" if skipped else ""
-    print(f"chart: wrote {csv_path} and {svg_path}{note}")
+    print(f"chart: wrote {out_base}.csv and {out_base}.svg{note}")
     return 0
 
 
@@ -177,26 +188,19 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: str) -> int:
     cs = synthgen.synthesize_channels(track, radio, scat, sample_rate=rate)
     os.makedirs(out_dir, exist_ok=True)
     _, eval_idx = _split(cfg, n)
-    mining = cfg.mining_config(cs.sample_rate)
 
     lines = ["arm,phase,K,K_frac,trustworthiness,continuity"]
     for name in ("smart", "random", "mlp") if cfg.baseline_mlp else ("smart", "random"):
         model = _init_model(cfg, cs, name)
         for phase in ("untrained", "trained"):
             if phase == "trained":
-                report = train(model, cs, cfg.train_config(), mining)
-                fileio.write_text(os.path.join(out_dir, f"loss_{name}.csv"),
-                                  fileio.loss_csv(report.epoch_losses))
+                _train_and_save(cfg, model, cs, os.path.join(out_dir, f"model_{name}.bin"),
+                                os.path.join(out_dir, f"loss_{name}.csv"))
             metrics = evalmetrics.evaluate(model, cs, eval_idx, cfg.k_grid)
             lines += [f"{name},{phase},{row}" for row in metrics.to_csv().splitlines()[1:]]
             k, frac, tw, ct = metrics.rows[0]
             print(f"compare[{name}] {phase}: TW@{frac:g}={tw:.4f} CT@{frac:g}={ct:.4f}")
-        fileio.write_model(os.path.join(out_dir, f"model_{name}.bin"), model)
-        chart, _ = encoder.chart_batch(model, cs.channels)
-        fileio.write_text(os.path.join(out_dir, f"chart_{name}.csv"),
-                          fileio.chart_csv(chart, np.asarray(cs.positions)))
-        fileio.write_text(os.path.join(out_dir, f"chart_{name}.svg"),
-                          fileio.chart_svg(chart))
+        _save_chart(model, cs, os.path.join(out_dir, f"chart_{name}"))
     fileio.write_text(os.path.join(out_dir, "metrics.csv"), "\n".join(lines) + "\n")
     print(f"compare: wrote {os.path.join(out_dir, 'metrics.csv')}")
     return 0

@@ -360,50 +360,40 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # presets: each gives its scenario and only the values that differ from the
-# section defaults, which are the full-size ``default`` experiment's values
+# section defaults, which are the full-size ``default`` experiment's values;
+# preset() only reads them, and a resolved config shares no part of them
 
 
-def _preset_default() -> dict:
-    return {"scenario": {"kind": "loop", "n_samples": 5910, "jitter_sigma": 0.05}}
-
-
-def _preset_desk() -> dict:
+PRESETS = {
+    "default": {"scenario": {"kind": "loop", "n_samples": 5910, "jitter_sigma": 0.05}},
     # Full-scale loop geometry (sized for 8865 samples at 0.2 m) walked with
     # 2000 samples: ~0.89 m spacing keeps the neighbor-recovery problem
     # nontrivial at desk scale.  Mining windows stay at the stock 100 s /
     # 290 s; the lower learning rate and two triplets per anchor were tuned
     # so that training reliably improves both quality metrics from a smart
     # start while the MLP baseline trains to convergence.
-    return {
+    "desk": {
         "scenario": {"kind": "loop", "n_samples": 2000, "geometry_samples": 8865,
                      "jitter_sigma": 0.05},
         "mining": {"per_anchor": 2},
         "training": {"learning_rate": 3e-4},
         "seeds": derive_seeds(1),
-    }
-
-
-def _preset_tiny() -> dict:
+    },
     # Small and fast: 200 samples on a loop sized for 2000 (sparse 2 m
     # spacing), short mining windows to match, three epochs.  Used by the
     # CLI smoke tests and as the chance-level reference scenario.
-    return {
+    "tiny": {
         "scenario": {"kind": "loop", "n_samples": 200, "geometry_samples": 2000,
                      "jitter_sigma": 0.05},
         "encoder": {"n_init": 30, "init": "random"},
         "mining": {"t_close": 4.0, "t_far": 12.0},
         "training": {"epochs": 3, "batch_size": 32},
-    }
-
-
-PRESETS = {"default": _preset_default, "desk": _preset_desk, "tiny": _preset_tiny}
+    },
+}
 
 
 def preset(name: str) -> ExperimentConfig:
     """Named built-in experiment; raises ConfigError for unknown names."""
-    try:
-        builder = PRESETS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
-    return ExperimentConfig.from_dict(builder())
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    return ExperimentConfig.from_dict(PRESETS[name])

@@ -53,15 +53,6 @@ def _rank_rows(sq: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _max_k(n: int) -> int:
-    return (2 * n - 2) // 3
-
-
-def _check_k(n: int, k: int) -> None:
-    if not 1 <= k <= _max_k(n):
-        raise DataError(f"K={k} outside [1, {_max_k(n)}] for n={n}")
-
-
 def _penalties(rank_sq, rank_sorted, nn_sq, nn_sorted, ks) -> np.ndarray:
     """Per K, the summed rank-space excess (rank - K) of the entries among
     their row's nn-space K nearest but not its rank-space K nearest, from
@@ -107,8 +98,10 @@ def _scores(positions: np.ndarray, chart: np.ndarray, ks) -> list:
     n = pos.shape[0]
     if cht.shape[0] != n:
         raise ValueError("positions and chart row counts differ")
+    max_k = (2 * n - 2) // 3
     for k in ks:
-        _check_k(n, k)
+        if not 1 <= k <= max_k:
+            raise DataError(f"K={k} outside [1, {max_k}] for n={n}")
     if not ks:
         return []
     tw_pen = np.zeros(len(ks), dtype=np.int64)

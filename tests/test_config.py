@@ -209,7 +209,7 @@ def test_explicit_scenario_resolves_to_this_section():
 
 def test_to_dict_round_trips():
     for name in PRESETS:
-        cfg = ExperimentConfig.from_dict(PRESETS[name]())
+        cfg = ExperimentConfig.from_dict(PRESETS[name])
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
