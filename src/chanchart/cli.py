@@ -4,14 +4,17 @@ Every verb takes the experiment description either from a JSON file
 (``--config``) or a built-in preset (``--preset default|desk|tiny``), and an
 optional ``--seed-override R`` that re-derives all stage seeds from the root
 seed R.  Outputs are deterministic functions of (config, seeds): rerunning a
-verb with identical inputs produces byte-identical files.
+verb with identical inputs produces byte-identical files.  ``compare`` trains
+and charts every arm through the ``train`` and ``chart`` verbs' own stages.
 
 Exit codes: 0 success; 2 malformed config or invalid values (including a
-run that cannot allocate its arrays); 3 dimension mismatch between config,
-dataset, and model; 4 I/O or file-format failure; 5 a well-formed dataset
-that the pipeline cannot compute on (zero channels, too few samples or
-triplets).  On failure, the last stderr line is machine-readable JSON:
-``{"error": "<category>", "detail": "<message>"}``.
+config nested too deeply and a run that cannot allocate its arrays); 3
+dimension mismatch between config, dataset, and model; 4 I/O or file-format
+failure; 5 a well-formed dataset that the pipeline cannot compute on (zero
+channels, too few samples or triplets).  On failure, the last stderr line
+is machine-readable JSON: ``{"error": "<category>", "detail": "<message>"}``.
+An argument error (an unknown verb, a missing or conflicting flag) is
+argparse's: a usage line and exit 2, with no JSON line.
 """
 
 from __future__ import annotations

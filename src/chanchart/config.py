@@ -312,7 +312,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh, object_pairs_hook=unique)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return ExperimentConfig.from_dict(doc)
 

@@ -94,6 +94,11 @@ def _write_f64(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
+def _check_header(path: str, n: int, m: int, p: int, error) -> None:
+    if n < 1 or m < 1 or p not in (2, 3):  # the one CCD1 header rule, read and written
+        raise error(f"{path}: implausible header N={n} M={m} P={p}")
+
+
 @contextlib.contextmanager
 def _replacing(path: str, mode: str = "wb", **kwargs):
     """Open ``path + ".tmp"`` for writing and rename it onto ``path`` when the
@@ -127,12 +132,14 @@ def write_dataset_blocks(path: str, positions, m: int, blocks) -> None:
     """Write a ``CCD1`` file whose channel rows arrive in consecutive blocks.
 
     ``blocks`` yields (rows, M) complex arrays, one row per position in
-    order, each written as it arrives.  Like every writer here, it writes a
-    temporary file and renames it onto ``path`` when complete, so a failure,
-    in writing or in computing a block, leaves no partial file.
+    order, each written as it arrives.  A header RowReader would refuse
+    raises ValueError first.  Like every writer here, it writes a temporary
+    file and renames it onto ``path`` when complete, so a failure, in
+    writing or in computing a block, leaves no partial file.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n, p = positions.shape
+    _check_header(path, n, m, p, ValueError)
     with _replacing(path) as fh:
         fh.write(MAGIC_DATASET)
         fh.write(struct.pack("<3Q", n, m, p))
@@ -174,8 +181,7 @@ class RowReader:
             if magic != MAGIC_DATASET:
                 raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_DATASET!r}")
             n, m, p = _read_u64(fh, 3, path, "header")
-            if n < 1 or m < 1 or p not in (2, 3):
-                raise FileFormatError(f"{path}: implausible header N={n} M={m} P={p}")
+            _check_header(path, n, m, p, FileFormatError)
             _check_size(fh, 8 * n * (p + 2 * m), path)
             self.n, self.m, self.shape = n, m, (n, m)
             self.positions = _read_f64(fh, (n, p), path, "positions")

@@ -237,10 +237,16 @@ def test_bad_preset_name_exits_2(capsys):
 
 
 def test_invalid_config_json_exits_2(tmp_path, capsys):
+    # nesting past the parser's recursion limit is invalid JSON too, not a traceback
     path = tmp_path / "broken.json"
-    path.write_text("{oops", encoding="utf-8")
-    assert main(["show-config", "--config", str(path)]) == 2
-    assert _stderr_error(capsys)["error"] == "config"
+    for text in ("{oops", '{"scenario": ' + "[" * 100_000 + "]" * 100_000 + "}"):
+        path.write_text(text, encoding="utf-8")
+        assert main(["show-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        line = json.loads(err[0])
+        assert line["error"] == "config"
+        assert line["detail"].startswith(f"{path}: not valid JSON (")
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Experiment configuration: parsing, validation, presets, realization."""
 
+import copy
 import json
 from dataclasses import fields
 
@@ -323,6 +324,22 @@ def test_resolved_sections_follow_the_field_order(name):
         assert list(doc[section]) == [f.name for f in fields(cls)
                                       if f.name not in ("seed", "sample_rate")]
     assert list(doc["seeds"]) == list(STAGES)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_parsing_never_changes_a_preset(name):
+    # the presets are shared module-level documents: a resolved config, its
+    # reseeded copy and their dicts must hold none of their parts
+    before = copy.deepcopy(PRESETS[name])
+    cfg = preset(name)
+    for resolved in (cfg, cfg.with_seed_root(3)):
+        doc = resolved.to_dict()
+        resolved.scenario["n_samples"] = -1
+        resolved.scenario["extra"] = {}
+        resolved.seeds["init"] = -1
+        for section in doc.values():
+            section.clear()
+    assert PRESETS[name] == before
 
 
 def test_preset_names_and_unknown():

@@ -117,6 +117,18 @@ def test_dataset_rejects_implausible_header(tmp_path):
         read_dataset(str(path))
 
 
+@pytest.mark.parametrize("n, m, p", [(2, 3, 4), (0, 3, 2), (2, 0, 2)], ids=["P4", "N0", "M0"])
+def test_writer_refuses_a_header_the_reader_refuses(tmp_path, n, m, p):
+    # no file is made, not even the temporary one
+    path = tmp_path / "d.bin"
+    with pytest.raises(ValueError, match=f"implausible header N={n} M={m} P={p}"):
+        write_dataset_blocks(str(path), np.zeros((n, p)), m, [np.zeros((n, m), complex)])
+    with pytest.raises(ValueError, match="implausible header"):
+        write_dataset(str(path), ChannelSet(channels=np.zeros((n, m), complex),
+                                            positions=np.zeros((n, p))))
+    assert list(tmp_path.iterdir()) == []
+
+
 def _signed_zero_channelset():
     """Channels whose entries include -0.0, subnormal and extreme finite parts."""
     cs = _random_channelset(n=5, m=4, p=3, seed=11)
