@@ -92,8 +92,8 @@ class EncoderParams:
         return [self.d_re, self.d_im, self.z]
 
     def forward_rows(self, channels, index):
-        if not isinstance(channels, np.ndarray):
-            channels, index = channels[index], None  # a fileio.RowReader reads the rows
+        if not isinstance(channels, np.ndarray) and len(index) <= PLANE_ROWS:
+            channels, index = channels[index], None  # a fileio.RowReader reads them once
         z, cache = forward_batch(self, channels, index)
         return z, cache.ok, cache
 
@@ -162,10 +162,11 @@ class BatchCache:
     The cache holds no plane of the channels: it keeps a reference to the
     charted ``channels`` and the row selection ``rows`` (the index, or None
     for every row), and backward_batch gathers the planes of the rows it
-    multiplies from them.  The channels must not change in between.
+    multiplies from them; a fileio.RowReader, kept for a block of more than
+    PLANE_ROWS rows, reads them again.  The channels must not change in between.
     """
 
-    channels: np.ndarray     # (n_channels, m) complex128
+    channels: np.ndarray     # (n_channels, m) complex128, or a fileio.RowReader
     rows: np.ndarray | None  # (n_samples,) index into channels, or None: every row
     a_re: np.ndarray    # (n_samples, n_init)
     a_im: np.ndarray
@@ -176,31 +177,54 @@ class BatchCache:
     ok: np.ndarray         # bool (n_samples,)
 
 
+def _rows(channels, rows):
+    """(h, sel), h[sel] being channels[rows]: a fileio.RowReader reads them."""
+    if isinstance(channels, np.ndarray):
+        return channels, rows
+    return channels[rows], slice(None)
+
+
+def _correlate(plane: np.ndarray, d: np.ndarray):
+    """(plane @ d, whether each row's entries are all finite)."""
+    return plane @ d, np.isfinite(plane).all(axis=1)
+
+
+@np.errstate(invalid="ignore")  # a non-finite entry can make inf - inf; its row is flagged
 def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     """Batched hybrid forward over rows of `channels`; returns (z, cache).
 
-    Given ``index``, an integer array, charts the rows ``channels[index]``.
-    The rows are gathered one plane at a time, as a contiguous real array
+    Given ``index``, an integer array, charts the rows ``channels[index]``;
+    ``channels`` may then be a fileio.RowReader.  The rows are gathered
+    PLANE_ROWS at a time, one plane at a time, as a contiguous real array
     (matmul on strided real/imag views bypasses BLAS), and each plane is
     multiplied once by the stacked dictionary ``p.d``: the real plane is
-    freed before the imaginary plane is gathered, so a block never holds
-    both.  Then a_re = Re h . Re D + Im h . Im D and a_im = Im h . Re D -
-    Re h . Im D are read off the two products' column halves.  With real
-    products and the modulus as sqrt(re^2 + im^2), exact power-of-two input
-    scalings and quarter-turn phase rotations reproduce the output
-    bit-for-bit.
-    Degenerate rows chart to zero and are flagged in cache.ok instead of
-    raising, so callers can skip and count them.
+    freed before the imaginary plane is gathered.  Then a_re = Re h . Re D +
+    Im h . Im D and a_im = Im h . Re D - Re h . Im D are read off the two
+    products' column halves into arrays for the whole block, over which the
+    top-k, the normalization and z run once.  With real products and the
+    modulus as sqrt(re^2 + im^2), exact power-of-two input scalings and
+    quarter-turn phase rotations reproduce the output bit-for-bit.
+    Degenerate rows (no kept entry, or a non-finite entry) chart to zero and
+    are flagged in cache.ok instead of raising, so callers can skip and
+    count them.
     """
-    channels = np.asarray(channels, dtype=np.complex128)
-    rows = slice(None) if index is None else index
-    n = p.n_init
-    re = np.ascontiguousarray(channels.real[rows]) @ p.d  # the plane dies here
-    im = np.ascontiguousarray(channels.imag[rows]) @ p.d
-    a_re, a_im = re[:, :n] + im[:, n:2 * n], im[:, :n] - re[:, n:2 * n]
-    del re, im
+    if index is None or isinstance(channels, np.ndarray):
+        channels = np.asarray(channels, dtype=np.complex128)
+    n, n_rows = p.n_init, channels.shape[0] if index is None else len(index)
+    a_re, a_im = np.empty((2, n_rows, n))
+    finite = np.empty(n_rows, dtype=bool)
+    starts = range(0, max(n_rows - 7, 1), PLANE_ROWS)  # a last sub-block of < 8 rows joins
+    for lo, hi in zip(starts, [*starts[1:], n_rows]):
+        h, sel = _rows(channels, slice(lo, hi) if index is None else index[lo:hi])
+        # each plane dies when _correlate returns
+        re, finite_re = _correlate(np.ascontiguousarray(h.real[sel]), p.d)
+        im, finite_im = _correlate(np.ascontiguousarray(h.imag[sel]), p.d)
+        del h
+        finite[lo:hi] = finite_re & finite_im
+        np.add(re[:, :n], im[:, n:2 * n], out=a_re[lo:hi])
+        np.subtract(im[:, :n], re[:, n:2 * n], out=a_im[lo:hi])
     b = np.sqrt(a_re * a_re + a_im * a_im)
-    kept_mask = _top_k_mask(b, p.k) & (b > 0.0)
+    kept_mask = _top_k_mask(b, p.k) & (b > 0.0) & finite[:, None]
     d = np.where(kept_mask, b, 0.0)
     s = np.sum(d, axis=1)
     ok = s > 0.0
@@ -239,9 +263,9 @@ def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray, out=None
     np.divide(gc * cache.a_im[live], safe_b, out=g2[:, :n])  # ga_im
     np.negative(g2[:, :n], out=g1[:, n:2 * n])
     g2[:, n:2 * n] = g1[:, :n]
-    rows = live if cache.rows is None else cache.rows[live]
-    np.matmul(cache.channels.real[rows].T, g1, out=gd_dict)
-    gd_dict += cache.channels.imag[rows].T @ g2
+    h, rows = _rows(cache.channels, live if cache.rows is None else cache.rows[live])
+    np.matmul(np.ascontiguousarray(h.real[rows]).T, g1, out=gd_dict)
+    gd_dict += np.ascontiguousarray(h.imag[rows]).T @ g2
     return gd_dict[:, :n], gd_dict[:, n:2 * n], gz_mat
 
 
@@ -289,11 +313,14 @@ def mlp_init(m: int, seed: int, hidden=MLP_HIDDEN, d_out: int = 2) -> MlpParams:
 
 
 def mlp_forward_batch(p: MlpParams, channels: np.ndarray):
-    """Batched MLP forward; returns (z (n, d_out), activations, ok mask)."""
+    """Batched MLP forward; returns (z (n, d_out), activations, ok mask).
+
+    A row of zero norm or with a non-finite entry is not ok and charts to zero.
+    """
     channels = np.asarray(channels, dtype=np.complex128)
     x = np.concatenate([channels.real, channels.imag], axis=1)
     norms = np.linalg.norm(x, axis=1)
-    ok = norms > 0.0
+    ok = (norms > 0.0) & np.isfinite(x).all(axis=1)
     x = x / np.where(ok, norms, 1.0)[:, None]
     x[~ok] = 0.0
     activations = [x]
@@ -330,12 +357,15 @@ def count_params(model) -> int:
     return sum(a.size for a in model.file_arrays())
 
 
-# chart_batch charts this many rows per encoder call.  Blocks of 500 rows or
-# fewer changed the last bit of some chart coordinates of the default dataset
-# against one call over all rows (BLAS takes other kernels for small
-# matrices); with 1,024 the default, desk and held-out charts stay
-# bit-identical.  A short last block can still differ in the last bit.
+# chart_batch charts this many rows per encoder call; it fixes z's bits only.
+# In blocks of 500 rows or fewer, z = d . Z^T changed the last bit of some
+# coordinates of the default chart against one call over all rows (BLAS takes
+# other kernels for small matrices); with 1,024 the default, desk and
+# held-out charts stay bit-identical.  A short last block can still differ.
 CHART_ROWS = 1024
+# forward_batch multiplies the channel planes this many rows at a time; a
+# plane product keeps its bits in any sub-block of 8 rows or more.
+PLANE_ROWS = 256
 
 
 def chart_batch(model, channels, index=None):

@@ -99,6 +99,25 @@ def _check_header(path: str, n: int, m: int, p: int, error) -> None:
         raise error(f"{path}: implausible header N={n} M={m} P={p}")
 
 
+def _check_model_header(path: str, kind: int, header: tuple, error) -> None:
+    """The one CCM1 header rule, read and written.
+
+    ``header`` holds the fields after the kind: M, N_init, D_out and k for a
+    hybrid; the layer count L, then the L + 1 layer dims, for an MLP.  The
+    reader checks L alone before it reads the dims.
+    """
+    if kind == EncoderParams.KIND:
+        m, n_init, d_out, k = header
+        if m < 1 or n_init < 1 or d_out < 1 or not (1 <= k <= n_init):
+            raise error(f"{path}: implausible hybrid header "
+                        f"M={m} N_init={n_init} D_out={d_out} k={k}")
+    elif not (1 <= header[0] <= 64):
+        raise error(f"{path}: implausible layer count {header[0]}")
+    # the input layer takes the stacked [Re; Im] channel: 2M entries
+    elif any(d < 1 for d in header[1:]) or header[1:] and header[1] % 2:
+        raise error(f"{path}: implausible layer dims {header[1:]}")
+
+
 @contextlib.contextmanager
 def _replacing(path: str, mode: str = "wb", **kwargs):
     """Open ``path + ".tmp"`` for writing and rename it onto ``path`` when the
@@ -240,7 +259,11 @@ def read_dataset(path: str, sample_rate: float = 7.0) -> ChannelSet:
 
 
 def write_model(path: str, model) -> None:
-    """Write a ``CCM1`` file, atomically: a failed write leaves no partial file."""
+    """Write a ``CCM1`` file, atomically: a failed write leaves no partial file.
+
+    A model that read_model would refuse, by its header or by a non-finite
+    parameter, raises ValueError before any file is made.
+    """
     kind = getattr(model, "KIND", None)
     if kind == EncoderParams.KIND:
         header = (model.m, model.n_init, model.d_out, model.k)
@@ -249,6 +272,9 @@ def write_model(path: str, model) -> None:
         header = (len(model.weights), *dims)
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    _check_model_header(path, kind, header, ValueError)
+    if not all(np.isfinite(a).all() for a in model.file_arrays()):
+        raise ValueError(f"{path}: non-finite model parameter")
     with _replacing(path) as fh:
         fh.write(MAGIC_MODEL)
         fh.write(struct.pack(f"<{1 + len(header)}Q", kind, *header))
@@ -269,23 +295,18 @@ def read_model(path: str):
             raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_MODEL!r}")
         (kind,) = _read_u64(fh, 1, path, "model kind")
         if kind == EncoderParams.KIND:
-            m, n_init, d_out, k = _read_u64(fh, 4, path, "hybrid header")
-            if m < 1 or n_init < 1 or d_out < 1 or not (1 <= k <= n_init):
-                raise FileFormatError(f"{path}: implausible hybrid header "
-                                      f"M={m} N_init={n_init} D_out={d_out} k={k}")
+            m, n_init, d_out, k = header = _read_u64(fh, 4, path, "hybrid header")
+            _check_model_header(path, kind, header, FileFormatError)
             _check_size(fh, 8 * n_init * (2 * m + d_out), path)
             d_re = _read_f64(fh, (m, n_init), path, "d_re")
             d_im = _read_f64(fh, (m, n_init), path, "d_im")
             z = _read_f64(fh, (d_out, n_init), path, "z")
             return EncoderParams(d_re=d_re, d_im=d_im, z=z, k=int(k))
         if kind == MlpParams.KIND:
-            (count,) = _read_u64(fh, 1, path, "layer count")
-            if not (1 <= count <= 64):
-                raise FileFormatError(f"{path}: implausible layer count {count}")
-            dims = _read_u64(fh, count + 1, path, "layer dims")
-            # the input layer takes the stacked [Re; Im] channel: 2M entries
-            if any(d < 1 for d in dims) or dims[0] % 2:
-                raise FileFormatError(f"{path}: implausible layer dims {dims}")
+            count = _read_u64(fh, 1, path, "layer count")
+            _check_model_header(path, kind, count, FileFormatError)
+            dims = _read_u64(fh, count[0] + 1, path, "layer dims")
+            _check_model_header(path, kind, count + dims, FileFormatError)
             pairs = list(zip(dims, dims[1:]))
             _check_size(fh, 8 * sum(lo * hi for lo, hi in pairs), path)
             weights = [_read_f64(fh, (hi, lo), path, "weights") for lo, hi in pairs]

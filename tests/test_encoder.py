@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from chanchart.encoder import (
     CHART_ROWS,
+    PLANE_ROWS,
     EncoderParams,
     MlpParams,
     _top_k_mask,
@@ -22,6 +24,7 @@ from chanchart.encoder import (
     mlp_forward_batch,
     mlp_init,
 )
+from chanchart.fileio import RowReader, write_dataset_blocks
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import ChannelSet
 from helpers import (
@@ -541,6 +544,27 @@ def test_chart_batch_dispatch():
     assert np.array_equal(z, np.ones((5, 2)))
 
 
+@pytest.mark.parametrize("kind", ["hybrid", "mlp"])
+def test_chart_batch_flags_rows_with_a_non_finite_entry(kind):
+    # rows: finite, one inf entry (imaginary part), one NaN entry (real
+    # part), all zero; the last three are degenerate and chart to zero, with
+    # no warning, and the finite row keeps every bit
+    model = {"hybrid": _random_params(88, 6, 5, 2),
+             "mlp": mlp_init(6, seed=89, hidden=(7, 3))}[kind]
+    channels = _random_channels(90, 4, 6)
+    channels[1, 2] = complex(0.5, np.inf)
+    channels[2, 4] = complex(np.nan, 0.5)
+    channels[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, ok = chart_batch(model, channels)
+    assert ok.tolist() == [True, False, False, False]
+    assert np.array_equal(z[1:], np.zeros((3, 2)))
+    clean = channels.copy()
+    clean[1:] = 0.0
+    assert np.array_equal(z[0], chart_batch(model, clean)[0][0])
+
+
 def _blockwise(model, channels):
     """(z, ok) of the encoder's own batched forward, one CHART_ROWS block at a time."""
     zs, oks = [], []
@@ -601,6 +625,67 @@ def test_indexed_chart_batch_gathers_no_complex_block():
     finally:
         tracemalloc.stop()
     assert peak < CHART_ROWS * m * 16, peak / (CHART_ROWS * m * 16)
+
+
+class _CountingReader:
+    """A RowReader that records the size of every read."""
+
+    def __init__(self, reader):
+        self.reader, self.shape, self.reads = reader, reader.shape, []
+
+    def __getitem__(self, index):
+        self.reads.append(len(index))
+        return self.reader[index]
+
+
+@pytest.mark.parametrize("n, reads", [
+    (PLANE_ROWS, [PLANE_ROWS]),
+    (PLANE_ROWS + 7, [PLANE_ROWS + 7, PLANE_ROWS + 6]),
+    (PLANE_ROWS + 8, [PLANE_ROWS, 8, PLANE_ROWS + 7]),
+    (2 * PLANE_ROWS + 50, [PLANE_ROWS, PLANE_ROWS, 50, 2 * PLANE_ROWS + 49]),
+], ids=["one-read", "short-tail-joins", "two-sub-blocks", "three-sub-blocks"])
+def test_reader_block_is_read_plane_rows_at_a_time(tmp_path, n, reads):
+    # a block of at most PLANE_ROWS rows is read once and kept for the
+    # backward; a longer one is read a sub-block at a time (a last one of
+    # fewer than 8 rows joins the one before), and the backward reads its
+    # live rows again; z, ok and the gradients equal the in-memory array's
+    m, path = 6, str(tmp_path / "data.ccd")
+    channels = _random_channels(93, n + 10, m)
+    channels[n] = 0.0  # one degenerate row, which is not live
+    write_dataset_blocks(path, np.zeros((n + 10, 2)), m, [channels])
+    model = _random_params(94, m, 5, 2)
+    index = np.arange(n + 10)[::-1][:n].copy()
+    gz = SplitMix64(95).normals(2 * n).reshape(n, 2)
+    want_z, want_ok, want_cache = model.forward_rows(channels, index)
+    with RowReader(path) as reader:
+        counting = _CountingReader(reader)
+        z, ok, cache = model.forward_rows(counting, index)
+        grads = model.backward_rows(cache, gz)
+    assert counting.reads == reads
+    assert np.array_equal(z, want_z) and np.array_equal(ok, want_ok)
+    assert ok.tolist().count(False) == 1
+    for got, want in zip(grads, model.backward_rows(want_cache, gz)):
+        assert np.array_equal(got, want)
+
+
+def test_chart_batch_over_a_row_reader_peaks_below_20_mb(tmp_path):
+    # the default scenario's M = 1,024 with 200 atoms.  A whole 1,024-row block
+    # read at once is 16.8 MB, and its real plane 8.4 MB more; read and
+    # multiplied PLANE_ROWS rows at a time, the peak stays below 20 MB
+    n, m, path = CHART_ROWS + 76, 1024, str(tmp_path / "data.ccd")
+    write_dataset_blocks(path, np.zeros((n, 2)), m,
+                         (_random_channels(96 + lo, min(PLANE_ROWS, n - lo), m)
+                          for lo in range(0, n, PLANE_ROWS)))
+    model = _random_params(97, m, 200, 10)
+    with RowReader(path) as reader:
+        tracemalloc.start()
+        try:
+            z, ok = chart_batch(model, reader)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert z.shape == (n, 2) and ok.all()
+    assert peak < 20e6, peak / 1e6
 
 
 def test_chart_batch_memory_stays_below_one_real_plane():

@@ -391,24 +391,50 @@ def test_model_rejects_corruption(tmp_path):
     with pytest.raises(FileFormatError, match="implausible"):
         read_model(str(bad))
 
-    # an MLP input layer takes the stacked [Re; Im] channel, so its width is even
-    write_model(str(bad), MlpParams(weights=[np.ones((3, 5)), np.ones((2, 3))]))
-    with pytest.raises(FileFormatError, match="implausible layer dims"):
+    # an MLP input layer takes the stacked [Re; Im] channel, so its width is
+    # even; one layer of dims (5, 2), which the writer refuses to write
+    bad.write_bytes(MAGIC_MODEL + struct.pack("<4Q", 1, 1, 5, 2) + np.ones(10).tobytes())
+    with pytest.raises(FileFormatError, match=r"implausible layer dims \(5, 2\)"):
         read_model(str(bad))
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "mlp"])
 def test_model_rejects_non_finite_weights(tmp_path, kind):
+    # the writer refuses a non-finite weight, so the file's last weight (z's
+    # last entry, or the output layer's) is overwritten with NaN or -inf
     if kind == "hybrid":
-        model = init_random(4, 3, 2, 2, seed=3)
-        model.z[1, 2] = np.nan
+        model, value = init_random(4, 3, 2, 2, seed=3), np.nan
     else:
-        model = mlp_init(6, seed=2, hidden=(5,))
-        model.weights[1][0, 4] = -np.inf
-    path = str(tmp_path / "m.bin")
-    write_model(path, model)
+        model, value = mlp_init(6, seed=2, hidden=(5,)), -np.inf
+    path = tmp_path / "m.bin"
+    write_model(str(path), model)
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", value))
     with pytest.raises(FileFormatError, match="non-finite"):
-        read_model(path)
+        read_model(str(path))
+
+
+def _nan_weight():
+    model = mlp_init(6, seed=2, hidden=(5,))
+    model.weights[1][0, 4] = np.nan
+    return model
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: EncoderParams(d_re=np.zeros((0, 3)), d_im=np.zeros((0, 3)), z=np.ones((2, 3)),
+                           k=1), "implausible hybrid header M=0"),
+    (lambda: EncoderParams(d_re=np.ones((4, 3)), d_im=np.ones((4, 3)), z=np.ones((0, 3)),
+                           k=1), "implausible hybrid header .* D_out=0"),
+    (lambda: MlpParams(weights=[np.ones((3, 5)), np.ones((2, 3))]),
+     r"implausible layer dims \(5, 3, 2\)"),
+    (lambda: MlpParams(weights=[np.ones((1, 2))] + [np.ones((1, 1))] * 64),
+     "implausible layer count 65"),
+    (_nan_weight, "non-finite"),
+], ids=["hybrid-M0", "hybrid-D_out0", "mlp-odd-input", "mlp-65-layers", "nan-weight"])
+def test_model_writer_refuses_a_model_the_reader_refuses(tmp_path, make, match):
+    # no file is made, not even the temporary one
+    with pytest.raises(ValueError, match=match):
+        write_model(str(tmp_path / "m.bin"), make())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_model_rejects_unknown_type(tmp_path):
