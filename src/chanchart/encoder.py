@@ -15,10 +15,12 @@ width a multiple of 8 columns: OpenBLAS splits a product's columns between
 threads, and at other widths the results changed with the thread count.
 
 Each encoder has one forward and one hand-derived reverse-mode backward,
-both over batches of rows; one channel is charted as a batch of one.  The
-hybrid backward multiplies only the live rows -- chartable rows whose
-output gradient is nonzero -- into the dictionary gradients: every other
-row would add exact zeros.
+both over batches of rows; one channel is charted as a batch of one.  A
+hybrid row charts to the same bits alone as in any block, so its chart
+depends on the channel and the model only.  The hybrid backward
+multiplies only the live rows -- chartable rows whose output gradient is
+nonzero -- into the dictionary gradients: every other row would add
+exact zeros.
 
 Both parameter classes implement the one encoder interface that the
 trainer, the chart code, the parameter count and the model writer use:
@@ -29,7 +31,7 @@ the parameters, without the pad, in ``CCM1`` file order;
 ``forward_rows(channels, index)`` charts the rows ``channels[index]`` and
 returns ``(z, ok, cache)``, ``ok`` flagging the chartable rows --
 ``channels`` is an array or a fileio.RowReader, which reads those rows
-from its file; and ``backward_rows(cache, gz, out=None)`` returns the
+from its file once; and ``backward_rows(cache, gz, out=None)`` returns the
 batch-summed gradients of ``sum(gz * z)``, one per file array, to which
 not-ok rows add nothing.  Given ``out``, arrays shaped like ``arrays()``,
 the gradients are written into them, and those returned are views of
@@ -92,7 +94,7 @@ class EncoderParams:
         return [self.d_re, self.d_im, self.z]
 
     def forward_rows(self, channels, index):
-        if not isinstance(channels, np.ndarray) and len(index) <= PLANE_ROWS:
+        if not isinstance(channels, np.ndarray):
             channels, index = channels[index], None  # a fileio.RowReader reads them once
         z, cache = forward_batch(self, channels, index)
         return z, cache.ok, cache
@@ -162,11 +164,10 @@ class BatchCache:
     The cache holds no plane of the channels: it keeps a reference to the
     charted ``channels`` and the row selection ``rows`` (the index, or None
     for every row), and backward_batch gathers the planes of the rows it
-    multiplies from them; a fileio.RowReader, kept for a block of more than
-    PLANE_ROWS rows, reads them again.  The channels must not change in between.
+    multiplies from them.  The channels must not change in between.
     """
 
-    channels: np.ndarray     # (n_channels, m) complex128, or a fileio.RowReader
+    channels: np.ndarray     # (n_channels, m) complex128
     rows: np.ndarray | None  # (n_samples,) index into channels, or None: every row
     a_re: np.ndarray    # (n_samples, n_init)
     a_im: np.ndarray
@@ -177,59 +178,52 @@ class BatchCache:
     ok: np.ndarray         # bool (n_samples,)
 
 
-def _rows(channels, rows):
-    """(h, sel), h[sel] being channels[rows]: a fileio.RowReader reads them."""
-    if isinstance(channels, np.ndarray):
-        return channels, rows
-    return channels[rows], slice(None)
-
-
 def _correlate(plane: np.ndarray, d: np.ndarray):
-    """(plane @ d, whether each row's entries are all finite)."""
-    return plane @ d, np.isfinite(plane).all(axis=1)
+    """(plane @ d, whether each row's entries are all finite).
+
+    A plane of fewer than 8 rows is padded with zero rows, whose products
+    are dropped: BLAS takes other kernels for the smallest products.
+    """
+    n_rows, finite = plane.shape[0], np.isfinite(plane).all(axis=1)
+    if n_rows < 8:
+        plane = np.concatenate([plane, np.zeros((8 - n_rows, plane.shape[1]))])
+    return (plane @ d)[:n_rows], finite
 
 
 @np.errstate(invalid="ignore")  # a non-finite entry can make inf - inf; its row is flagged
 def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     """Batched hybrid forward over rows of `channels`; returns (z, cache).
 
-    Given ``index``, an integer array, charts the rows ``channels[index]``;
-    ``channels`` may then be a fileio.RowReader.  The rows are gathered
-    PLANE_ROWS at a time, one plane at a time, as a contiguous real array
+    Given ``index``, an integer array, charts the rows ``channels[index]``.
+    The rows are gathered one plane at a time as a contiguous real array
     (matmul on strided real/imag views bypasses BLAS), and each plane is
     multiplied once by the stacked dictionary ``p.d``: the real plane is
     freed before the imaginary plane is gathered.  Then a_re = Re h . Re D +
     Im h . Im D and a_im = Im h . Re D - Re h . Im D are read off the two
-    products' column halves into arrays for the whole block, over which the
-    top-k, the normalization and z run once.  With real products and the
-    modulus as sqrt(re^2 + im^2), exact power-of-two input scalings and
-    quarter-turn phase rotations reproduce the output bit-for-bit.
-    Degenerate rows (no kept entry, or a non-finite entry) chart to zero and
-    are flagged in cache.ok instead of raising, so callers can skip and
-    count them.
+    products' column halves, and the top-k, the normalization and z follow.
+    z is a fixed-order sum per row, and a row's plane products keep their
+    bits in any block, so a row charts to the same bits alone as in any
+    block.  With real products and the modulus as sqrt(re^2 + im^2), exact
+    power-of-two input scalings and quarter-turn phase rotations reproduce
+    the output bit-for-bit.  Degenerate rows (no kept entry, or a non-finite
+    entry) chart to zero and are flagged in cache.ok instead of raising, so
+    callers can skip and count them.
     """
-    if index is None or isinstance(channels, np.ndarray):
-        channels = np.asarray(channels, dtype=np.complex128)
-    n, n_rows = p.n_init, channels.shape[0] if index is None else len(index)
-    a_re, a_im = np.empty((2, n_rows, n))
-    finite = np.empty(n_rows, dtype=bool)
-    starts = range(0, max(n_rows - 7, 1), PLANE_ROWS)  # a last sub-block of < 8 rows joins
-    for lo, hi in zip(starts, [*starts[1:], n_rows]):
-        h, sel = _rows(channels, slice(lo, hi) if index is None else index[lo:hi])
-        # each plane dies when _correlate returns
-        re, finite_re = _correlate(np.ascontiguousarray(h.real[sel]), p.d)
-        im, finite_im = _correlate(np.ascontiguousarray(h.imag[sel]), p.d)
-        del h
-        finite[lo:hi] = finite_re & finite_im
-        np.add(re[:, :n], im[:, n:2 * n], out=a_re[lo:hi])
-        np.subtract(im[:, :n], re[:, n:2 * n], out=a_im[lo:hi])
+    channels = np.asarray(channels, dtype=np.complex128)
+    rows, n = slice(None) if index is None else index, p.n_init
+    # each plane dies when _correlate returns
+    re, finite_re = _correlate(np.ascontiguousarray(channels.real[rows]), p.d)
+    im, finite_im = _correlate(np.ascontiguousarray(channels.imag[rows]), p.d)
+    a_re = re[:, :n] + im[:, n:2 * n]
+    a_im = im[:, :n] - re[:, n:2 * n]
+    del re, im
     b = np.sqrt(a_re * a_re + a_im * a_im)
-    kept_mask = _top_k_mask(b, p.k) & (b > 0.0) & finite[:, None]
+    kept_mask = _top_k_mask(b, p.k) & (b > 0.0) & (finite_re & finite_im)[:, None]
     d = np.where(kept_mask, b, 0.0)
     s = np.sum(d, axis=1)
     ok = s > 0.0
     d /= np.where(ok, s, 1.0)[:, None]  # a row with no kept entry stays zero
-    z = d @ p.z.T
+    z = np.einsum("ij,kj->ik", d, p.z, optimize=False)
     return z, BatchCache(channels=channels, rows=index, a_re=a_re, a_im=a_im, b=b,
                          kept_mask=kept_mask, s=s, d=d, ok=ok)
 
@@ -263,7 +257,7 @@ def backward_batch(p: EncoderParams, cache: BatchCache, gz: np.ndarray, out=None
     np.divide(gc * cache.a_im[live], safe_b, out=g2[:, :n])  # ga_im
     np.negative(g2[:, :n], out=g1[:, n:2 * n])
     g2[:, n:2 * n] = g1[:, :n]
-    h, rows = _rows(cache.channels, live if cache.rows is None else cache.rows[live])
+    h, rows = cache.channels, live if cache.rows is None else cache.rows[live]
     np.matmul(np.ascontiguousarray(h.real[rows]).T, g1, out=gd_dict)
     gd_dict += np.ascontiguousarray(h.imag[rows]).T @ g2
     return gd_dict[:, :n], gd_dict[:, n:2 * n], gz_mat
@@ -357,27 +351,22 @@ def count_params(model) -> int:
     return sum(a.size for a in model.file_arrays())
 
 
-# chart_batch charts this many rows per encoder call; it fixes z's bits only.
-# In blocks of 500 rows or fewer, z = d . Z^T changed the last bit of some
-# coordinates of the default chart against one call over all rows (BLAS takes
-# other kernels for small matrices); with 1,024 the default, desk and
-# held-out charts stay bit-identical.  A short last block can still differ.
-CHART_ROWS = 1024
-# forward_batch multiplies the channel planes this many rows at a time; a
-# plane product keeps its bits in any sub-block of 8 rows or more.
-PLANE_ROWS = 256
+# chart_batch charts this many rows per encoder call, so the encoder's
+# per-row intermediates never exceed one block.
+CHART_ROWS = 256
 
 
 def chart_batch(model, channels, index=None):
     """Chart many channels with either encoder; returns (z, ok mask).
 
     Charts the rows ``channels[index]`` (every row when ``index`` is None)
-    in blocks of CHART_ROWS rows, so the encoder's per-row intermediates
-    never exceed one block.  The (n, model.d_out) result is allocated once
-    and filled block by block; with no rows the encoder is not called.
+    in blocks of CHART_ROWS rows.  The (n, model.d_out) result is allocated
+    once and filled block by block; with no rows the encoder is not called.
     Each block's rows are gathered only when it is charted, by the encoder
     itself, so the hybrid makes no complex copy of them; ``channels`` may
-    also be a fileio.RowReader, which reads the block's rows from its file.
+    also be a fileio.RowReader, which reads each block's rows once.  A
+    hybrid row gets the same bits here as in ``chart_batch(model, h[None,
+    :])`` or in a training batch.
     """
     index = np.arange(channels.shape[0]) if index is None else index
     n = len(index)

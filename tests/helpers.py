@@ -4,12 +4,15 @@ Everything here is written independently of the package internals -- plain
 loops and well-known textbook formulations -- so that agreement between an
 oracle and the fast implementation is meaningful evidence, not a tautology.
 The exceptions are ``rank_matrix``, which runs the package's own ranker
-over whole rows so that it can be checked against the oracles, and
-``FunctionEncoder``, a stand-in model.
+over whole rows so that it can be checked against the oracles,
+``FunctionEncoder``, a stand-in model, and ``fingerprint``, which names
+the build that the byte ledger ``LEDGER`` and other bit claims hold on.
 """
 
 import heapq
 import math
+import os
+import platform
 import struct
 from types import SimpleNamespace
 
@@ -18,6 +21,16 @@ import numpy as np
 from chanchart import evalmetrics
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import SPEED_OF_LIGHT
+
+
+LEDGER = os.path.join(os.path.dirname(__file__), "digests.json")
+
+
+def fingerprint() -> dict:
+    """The numpy version, BLAS build and machine that result bits depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "machine": platform.machine()}
 
 
 def procrustes_residual(reference: np.ndarray, embedding: np.ndarray) -> float:

@@ -821,9 +821,9 @@ def test_generate_chart_and_eval_memory_does_not_grow_with_n(tmp_path, capsys):
     fileio.write_model(model, encoder.init_random(m, 12, 3, 2, seed=1))
     block = 16 * m  # bytes per channel row
     bounds = {"generate": 4 * 512 * block,           # synthesis blocks
-              "train": encoder.CHART_ROWS * block,
-              "eval": 2 * encoder.CHART_ROWS * block,
-              "chart": 3 * encoder.CHART_ROWS * block}
+              "train": 1024 * block,
+              "eval": 2 * 1024 * block,
+              "chart": 3 * 1024 * block}
     assert 6001 * block > 1.9 * max(bounds.values())
     for length in (1500, 6000):
         cfg = _write_doc(tmp_path, _line_doc(length, n_subcarriers=m // 4))

@@ -20,24 +20,15 @@ import copy
 import hashlib
 import json
 import os
-import platform
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import chanchart
 from chanchart.cli import main
 from chanchart.config import PRESETS, preset
-
-LEDGER = os.path.join(os.path.dirname(__file__), "digests.json")
-
-
-def _fingerprint() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "machine": platform.machine()}
+from helpers import LEDGER, fingerprint
 
 
 def _digests(root) -> dict:
@@ -94,7 +85,7 @@ def artifacts(tmp_path_factory):
 def test_artifact_bytes_match_the_ledger(artifacts):
     with open(LEDGER, encoding="utf-8") as f:
         ledger = json.load(f)
-    here = _fingerprint()
+    here = fingerprint()
     if ledger["fingerprint"] != here:
         pytest.skip(f"ledger written with {ledger['fingerprint']}, this machine is {here}")
     got = _digests(artifacts)
