@@ -70,7 +70,8 @@ def _write_artifacts(out) -> None:
         _run("show-config", "--preset", name, "--out", out / "show-config" / f"{name}.json")
     doc = preset("tiny").to_dict()
     _file_verbs(out, doc, out.parent)
-    # 1,200 samples: chart charts blocks of 1,024 and 176 rows, eval 360 rows
+    # 1,200 samples: chart charts four 256-row blocks and one of 176 rows,
+    # eval one of 256 and one of 104
     doc["scenario"]["n_samples"] = 1200
     _file_verbs(out / "n1200", doc, out.parent)
 
