@@ -341,17 +341,18 @@ def loss_csv(epoch_losses) -> str:
 
 SEGMENT_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
                   "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
+# chart_svg's size and margin around the points, in pixels, and point radius
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN, SVG_RADIUS = 640, 640, 40.0, 2.5
 
 
-def chart_svg(chart: np.ndarray, width: int = 640, height: int = 640,
-              margin: float = 40.0, radius: float = 2.5) -> str:
+def chart_svg(chart: np.ndarray) -> str:
     """Self-contained SVG scatter of chart points, colored by path progress.
 
     Points are split into eight equal temporal segments, each drawn in one
     color of a fixed cycle, so a faithful chart shows as an ordered rainbow
     loop and a scrambled one as confetti.
     """
-    n = chart.shape[0]
+    n, width, height, margin = chart.shape[0], SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     lo = chart.min(axis=0)
     hi = chart.max(axis=0)
     span = np.where(hi - lo > 0, hi - lo, 1.0)
@@ -366,7 +367,7 @@ def chart_svg(chart: np.ndarray, width: int = 640, height: int = 640,
         x = (chart[i, 0] - mid[0]) * scale + width / 2.0
         y = height / 2.0 - (chart[i, 1] - mid[1]) * scale
         color = SEGMENT_COLORS[min(i * 8 // n, 7)]
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" '
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{SVG_RADIUS}" '
                      f'fill="{color}" fill-opacity="0.8"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
