@@ -210,7 +210,8 @@ def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     callers can skip and count them.
     """
     channels = np.asarray(channels, dtype=np.complex128)
-    rows, n = slice(None) if index is None else index, p.n_init
+    rows = slice(None) if index is None else index
+    n = p.n_init
     # each plane dies when _correlate returns
     re, finite_re = _correlate(np.ascontiguousarray(channels.real[rows]), p.d)
     im, finite_im = _correlate(np.ascontiguousarray(channels.imag[rows]), p.d)

@@ -733,7 +733,8 @@ def test_a_hybrid_row_charts_to_the_same_bits_in_any_block():
             charts[size] = [model.forward_rows(h, np.arange(lo, min(lo + size, n)))[:2]
                             for lo in range(0, n, size)]
         z, ok = chart_batch(model, h, order)
-        charts["gathered"] = [(z[np.argsort(order)], ok[np.argsort(order)])]
+        back = np.argsort(order)
+        charts["gathered"] = [(z[back], ok[back])]
         for way, blocks in charts.items():
             z = np.concatenate([b[0] for b in blocks])
             ok = np.concatenate([b[1] for b in blocks])
