@@ -5,8 +5,8 @@ steps: correlate against a dictionary of reference channels (a = D^H h),
 take moduli (b = |a|), keep the k largest entries, normalize them to sum to
 one, and output the weighted average of the corresponding chart anchors
 (z = Z d).  Both the dictionary D and the anchor matrix Z are trainable.
-The whole map is invariant to scaling and global phase of the input by
-construction.
+The map is invariant to the input's scale and global phase by construction;
+a row is charted only if its sum of squares is in (0, ENERGY_BOUND).
 
 D is stored as one real array [Re D | Im D | 0], so the hybrid forward
 multiplies each real plane of the channels by it once, and its backward
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metricspace import distance_matrix
+from .metricspace import ENERGY_BOUND, distance_matrix
 from .isomap import isomap
 from .rng import SplitMix64
 
@@ -179,18 +179,18 @@ class BatchCache:
 
 
 def _correlate(plane: np.ndarray, d: np.ndarray):
-    """(plane @ d, whether each row's entries are all finite).
+    """(plane @ d, each row's sum of squares).
 
     A plane of fewer than 8 rows is padded with zero rows, whose products
     are dropped: BLAS takes other kernels for the smallest products.
     """
-    n_rows, finite = plane.shape[0], np.isfinite(plane).all(axis=1)
+    n_rows, energy = plane.shape[0], np.einsum("ij,ij->i", plane, plane)
     if n_rows < 8:
         plane = np.concatenate([plane, np.zeros((8 - n_rows, plane.shape[1]))])
-    return (plane @ d)[:n_rows], finite
+    return (plane @ d)[:n_rows], energy
 
 
-@np.errstate(invalid="ignore")  # a non-finite entry can make inf - inf; its row is flagged
+@np.errstate(over="ignore", invalid="ignore")  # a row >= ENERGY_BOUND can overflow; it is flagged
 def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     """Batched hybrid forward over rows of `channels`; returns (z, cache).
 
@@ -205,21 +205,21 @@ def forward_batch(p: EncoderParams, channels: np.ndarray, index=None):
     bits in any block, so a row charts to the same bits alone as in any
     block.  With real products and the modulus as sqrt(re^2 + im^2), exact
     power-of-two input scalings and quarter-turn phase rotations reproduce
-    the output bit-for-bit.  Degenerate rows (no kept entry, or a non-finite
-    entry) chart to zero and are flagged in cache.ok instead of raising, so
-    callers can skip and count them.
+    the output bit-for-bit.  Degenerate rows (no kept entry, or a sum of
+    squares not below ENERGY_BOUND) chart to zero and are flagged in cache.ok
+    instead of raising, so callers can skip and count them.
     """
     channels = np.asarray(channels, dtype=np.complex128)
     rows = slice(None) if index is None else index
     n = p.n_init
     # each plane dies when _correlate returns
-    re, finite_re = _correlate(np.ascontiguousarray(channels.real[rows]), p.d)
-    im, finite_im = _correlate(np.ascontiguousarray(channels.imag[rows]), p.d)
+    re, e_re = _correlate(np.ascontiguousarray(channels.real[rows]), p.d)
+    im, e_im = _correlate(np.ascontiguousarray(channels.imag[rows]), p.d)
     a_re = re[:, :n] + im[:, n:2 * n]
     a_im = im[:, :n] - re[:, n:2 * n]
     del re, im
     b = np.sqrt(a_re * a_re + a_im * a_im)
-    kept_mask = _top_k_mask(b, p.k) & (b > 0.0) & (finite_re & finite_im)[:, None]
+    kept_mask = _top_k_mask(b, p.k) & (b > 0.0) & (e_re + e_im < ENERGY_BOUND)[:, None]
     d = np.where(kept_mask, b, 0.0)
     s = np.sum(d, axis=1)
     ok = s > 0.0
@@ -310,14 +310,14 @@ def mlp_init(m: int, seed: int, hidden=MLP_HIDDEN, d_out: int = 2) -> MlpParams:
 def mlp_forward_batch(p: MlpParams, channels: np.ndarray):
     """Batched MLP forward; returns (z (n, d_out), activations, ok mask).
 
-    A row of zero norm or with a non-finite entry is not ok and charts to zero.
+    A row whose sum of squares is not in (0, ENERGY_BOUND) is not ok and charts to zero.
     """
     channels = np.asarray(channels, dtype=np.complex128)
     x = np.concatenate([channels.real, channels.imag], axis=1)
+    x[~(np.einsum("ij,ij->i", x, x) < ENERGY_BOUND)] = 0.0
     norms = np.linalg.norm(x, axis=1)
-    ok = (norms > 0.0) & np.isfinite(x).all(axis=1)
+    ok = norms > 0.0
     x = x / np.where(ok, norms, 1.0)[:, None]
-    x[~ok] = 0.0
     activations = [x]
     for i, w in enumerate(p.weights):
         x = x @ w.T

@@ -7,7 +7,9 @@ The distance between two channel vectors is
 The normalized correlation modulus discards the global phase and amplitude
 of each vector, which is what makes the measure usable for neighborhood
 retrieval on raw channels.  Values live in [0, sqrt(2)]: 0 for collinear
-vectors (up to complex scaling), sqrt(2) for orthogonal ones.
+vectors (up to complex scaling), sqrt(2) for orthogonal ones.  Both encoders
+chart, and ``distance_matrix`` takes, only rows whose sum of squares is
+positive and below ``ENERGY_BOUND``.
 
 Two evaluation routes with different accuracy/speed trade-offs:
 
@@ -28,6 +30,7 @@ import math
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+ENERGY_BOUND = 2.0 ** 510  # below it, no correlation of two rows overflows float64
 
 
 class DataError(ValueError):
@@ -64,13 +67,16 @@ def pseudo_distance(h_i: np.ndarray, h_j: np.ndarray) -> float:
 def distance_matrix(rows: np.ndarray) -> np.ndarray:
     """Pairwise pseudo-distance matrix of the given channel rows.
 
-    `rows` is an (n, m) complex array.  The result is an (n, n) float array
-    with zero diagonal, exactly symmetric: each unordered pair is computed
-    once (upper triangle) and mirrored.
+    `rows` is an (n, m) complex array; a row whose sum of squares is not in
+    (0, ENERGY_BOUND) raises DataError.  The result is (n, n), zero on the
+    diagonal and exactly symmetric: each pair is computed once and mirrored.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError("expected a 2-D array of channel rows")
+    big = np.flatnonzero(~(np.einsum("ij,ij->i", rows.conj(), rows).real < ENERGY_BOUND))
+    if big.size:
+        raise DataError(f"channel row at index {int(big[0])} has a sum of squares >= 2^510")
     norms = np.linalg.norm(rows, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:

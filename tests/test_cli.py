@@ -706,6 +706,57 @@ def test_nan_in_a_row_the_verb_does_not_keep_exits_4(tmp_path, capsys, verb):
                                   "detail": f"{bad}: non-finite value in channels"}
 
 
+def _scaled_rows(data: str, rows, scale: float, path: str) -> None:
+    """Copy the dataset ``data`` to ``path`` with channel ``rows`` multiplied by ``scale``."""
+    raw = bytearray(open(data, "rb").read())
+    n, m, p = struct.unpack_from("<3Q", raw, 4)
+    for row in rows:
+        at = 28 + 8 * n * p + 16 * m * row
+        entries = np.frombuffer(raw, "<f8", 2 * m, at) * scale + 0.0  # + 0.0: no -0.0
+        raw[at:at + 16 * m] = entries.tobytes()
+    open(path, "wb").write(raw)
+
+
+def test_rows_whose_sum_of_squares_overflows_are_charted_as_zero_rows(tmp_path, capsys):
+    # every entry of rows 5 and 150 stays finite at 2^600 times its value, so
+    # the reader takes them; the verbs must treat them as the zero rows they
+    # chart as, and a smart init whose dictionary holds row 5 refuses them
+    doc = _tiny_doc()
+    cfg = _write_doc(tmp_path, doc)
+    data = str(tmp_path / "data.bin")
+    assert main(["generate", "--config", cfg, "--out", data]) == 0
+    names = ("m0.bin", "m1.bin", "loss.csv", "metrics.csv", "chart.csv", "chart.svg")
+    written = []
+    for case, scale in (("large", 2.0 ** 600), ("zero", 0.0)):
+        d = tmp_path / case
+        d.mkdir()
+        _scaled_rows(data, (5, 150), scale, str(d / "data.bin"))
+        common = ["--config", cfg, "--data", str(d / "data.bin")]
+        assert main(["init", *common, "--out", str(d / "m0.bin")]) == 0
+        assert main(["train", *common, "--model-in", str(d / "m0.bin"),
+                     "--out", str(d / "m1.bin"), "--loss-csv", str(d / "loss.csv")]) == 0
+        assert main(["eval", *common, "--model", str(d / "m1.bin"),
+                     "--out", str(d / "metrics.csv")]) == 0
+        assert main(["chart", *common, "--model", str(d / "m1.bin"),
+                     "--out", str(d / "chart")]) == 0
+        written.append([(d / name).read_bytes() for name in names])
+    for name, large, zero in zip(names, *written):
+        assert large == zero, name
+    doc["encoder"]["init"] = "smart"
+    cfg = _write_doc(tmp_path, doc, "smart.json")
+    n = fileio.read_dataset(data).channels.shape[0]
+    atoms = encoder.smart_atoms(n, doc["encoder"]["n_init"], doc["seeds"]["init"]).tolist()
+    out = tmp_path / "smart.bin"
+    capsys.readouterr()
+    assert main(["init", "--config", cfg, "--data", str(tmp_path / "large" / "data.bin"),
+                 "--out", str(out)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    detail = f"channel row at index {atoms.index(5)} has a sum of squares >= 2^510"
+    assert json.loads(err[0]) == {"error": "data", "detail": detail}
+    assert not out.exists()
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 

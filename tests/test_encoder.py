@@ -551,22 +551,26 @@ def test_chart_batch_dispatch():
 @pytest.mark.parametrize("kind", ["hybrid", "mlp"])
 def test_chart_batch_flags_rows_with_a_non_finite_entry(kind):
     # rows: finite, one inf entry (imaginary part), one NaN entry (real
-    # part), all zero; the last three are degenerate and chart to zero, with
-    # no warning, and the finite row keeps every bit
+    # part), all zero, row 0 times 2^600 (finite entries, but a sum of squares
+    # past ENERGY_BOUND), and a finite row times 2^200; rows 1-4 are
+    # degenerate and chart to zero, with no warning, and the finite rows keep
+    # every bit, the last one that of its unscaled self
     model = {"hybrid": _random_params(88, 6, 5, 2),
              "mlp": mlp_init(6, seed=89, hidden=(7, 3))}[kind]
-    channels = _random_channels(90, 4, 6)
+    channels = _random_channels(90, 6, 6)
     channels[1, 2] = complex(0.5, np.inf)
     channels[2, 4] = complex(np.nan, 0.5)
     channels[3] = 0.0
+    channels[4] = channels[0] * 2.0 ** 600
+    clean = channels.copy()
+    channels[5] *= 2.0 ** 200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         z, ok = chart_batch(model, channels)
-    assert ok.tolist() == [True, False, False, False]
-    assert np.array_equal(z[1:], np.zeros((3, 2)))
-    clean = channels.copy()
-    clean[1:] = 0.0
-    assert np.array_equal(z[0], chart_batch(model, clean)[0][0])
+    assert ok.tolist() == [True, False, False, False, False, True]
+    assert np.array_equal(z[1:5], np.zeros((4, 2)))
+    clean[1:5] = 0.0
+    assert np.array_equal(z[[0, 5]], chart_batch(model, clean)[0][[0, 5]])
 
 
 def _blockwise(model, channels):

@@ -1,11 +1,12 @@
 """Phase/scale-invariant pseudo-distance and its pairwise matrix."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from chanchart.metricspace import distance_matrix, pseudo_distance
+from chanchart.metricspace import DataError, distance_matrix, pseudo_distance
 from chanchart.rng import SplitMix64
 
 SQRT2 = math.sqrt(2.0)
@@ -88,3 +89,17 @@ def test_distance_matrix_zero_row_rejected():
     assert "2" in str(err.value)
     with pytest.raises(ValueError, match="^expected a 2-D array of channel rows$"):
         distance_matrix(rows[0])
+
+
+@pytest.mark.parametrize("entry", [2.0 ** 600, 2.0 ** 255], ids=["2^600", "2^255"])
+def test_distance_matrix_rejects_a_row_at_or_above_the_energy_bound(entry):
+    # every entry of row 3 is finite, but its sum of squares overflows or
+    # rounds to exactly 2^510: the row is refused by index, as a zero row is
+    rows = np.ones((5, 6), dtype=np.complex128)
+    rows[3, 0] = entry
+    rows[4, 0] = 2.0 ** 254  # a sum of squares of 2^508 + 5 is below the bound
+    detail = "channel row at index 3 has a sum of squares >= 2^510"
+    with pytest.raises(DataError, match=f"^{re.escape(detail)}$"):
+        distance_matrix(rows)
+    rows[3, 0] = 1.0
+    assert np.isfinite(distance_matrix(rows)).all()
