@@ -81,13 +81,9 @@ def _checked(out: np.ndarray, got: int, path: str, what: str) -> np.ndarray:
     return out
 
 
-def _read_into(fh, out: np.ndarray, path: str, what: str) -> np.ndarray:
-    """Read little-endian doubles straight into ``out``; reject non-finite values."""
-    return _checked(out, fh.readinto(out), path, what)
-
-
 def _read_f64(fh, shape: tuple, path: str, what: str) -> np.ndarray:
-    return _read_into(fh, np.empty(shape, dtype="<f8"), path, what)
+    out = np.empty(shape, dtype="<f8")
+    return _checked(out, fh.readinto(out), path, what)
 
 
 def _write_f64(fh, arr: np.ndarray) -> None:
@@ -99,23 +95,27 @@ def _check_header(path: str, n: int, m: int, p: int, error) -> None:
         raise error(f"{path}: implausible header N={n} M={m} P={p}")
 
 
-def _check_model_header(path: str, kind: int, header: tuple, error) -> None:
-    """The one CCM1 header rule, read and written.
+def _model_shapes(path: str, kind: int, header: tuple, error) -> list:
+    """The one CCM1 header rule, read and written: the parameter shapes in file order.
 
     ``header`` holds the fields after the kind: M, N_init, D_out and k for a
     hybrid; the layer count L, then the L + 1 layer dims, for an MLP.  The
-    reader checks L alone before it reads the dims.
+    reader checks L alone, getting no shapes, before it reads the dims.
     """
     if kind == EncoderParams.KIND:
         m, n_init, d_out, k = header
         if m < 1 or n_init < 1 or d_out < 1 or not (1 <= k <= n_init):
             raise error(f"{path}: implausible hybrid header "
                         f"M={m} N_init={n_init} D_out={d_out} k={k}")
-    elif not (1 <= header[0] <= 64):
+        return [(m, n_init), (m, n_init), (d_out, n_init)]
+    if kind != MlpParams.KIND:
+        raise error(f"{path}: unknown model kind {kind}")
+    if not (1 <= header[0] <= 64):
         raise error(f"{path}: implausible layer count {header[0]}")
     # the input layer takes the stacked [Re; Im] channel: 2M entries
-    elif any(d < 1 for d in header[1:]) or header[1:] and header[1] % 2:
+    if any(d < 1 for d in header[1:]) or header[1:] and header[1] % 2:
         raise error(f"{path}: implausible layer dims {header[1:]}")
+    return [(hi, lo) for lo, hi in zip(header[1:], header[2:])]
 
 
 @contextlib.contextmanager
@@ -208,8 +208,8 @@ class RowReader:
             if check is not None:
                 check(n, m)
             buf = np.empty((min(READ_ROWS, n), m, 2), dtype="<f8")
-            for lo in range(0, n, READ_ROWS):
-                _read_into(fh, buf[:min(READ_ROWS, n - lo)], path, "channels")
+            for part in (buf[:min(READ_ROWS, n - lo)] for lo in range(0, n, READ_ROWS)):
+                _checked(part, fh.readinto(part), path, "channels")
         except BaseException:
             fh.close()
             raise
@@ -272,7 +272,7 @@ def write_model(path: str, model) -> None:
         header = (len(model.weights), *dims)
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    _check_model_header(path, kind, header, ValueError)
+    _model_shapes(path, kind, header, ValueError)
     if not all(np.isfinite(a).all() for a in model.file_arrays()):
         raise ValueError(f"{path}: non-finite model parameter")
     with _replacing(path) as fh:
@@ -294,24 +294,19 @@ def read_model(path: str):
         if magic != MAGIC_MODEL:
             raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC_MODEL!r}")
         (kind,) = _read_u64(fh, 1, path, "model kind")
+        header, names = (), ("d_re", "d_im", "z")
         if kind == EncoderParams.KIND:
-            m, n_init, d_out, k = header = _read_u64(fh, 4, path, "hybrid header")
-            _check_model_header(path, kind, header, FileFormatError)
-            _check_size(fh, 8 * n_init * (2 * m + d_out), path)
-            d_re = _read_f64(fh, (m, n_init), path, "d_re")
-            d_im = _read_f64(fh, (m, n_init), path, "d_im")
-            z = _read_f64(fh, (d_out, n_init), path, "z")
-            return EncoderParams(d_re=d_re, d_im=d_im, z=z, k=int(k))
-        if kind == MlpParams.KIND:
-            count = _read_u64(fh, 1, path, "layer count")
-            _check_model_header(path, kind, count, FileFormatError)
-            dims = _read_u64(fh, count[0] + 1, path, "layer dims")
-            _check_model_header(path, kind, count + dims, FileFormatError)
-            pairs = list(zip(dims, dims[1:]))
-            _check_size(fh, 8 * sum(lo * hi for lo, hi in pairs), path)
-            weights = [_read_f64(fh, (hi, lo), path, "weights") for lo, hi in pairs]
-            return MlpParams(weights=weights)
-        raise FileFormatError(f"{path}: unknown model kind {kind}")
+            header = _read_u64(fh, 4, path, "hybrid header")
+        elif kind == MlpParams.KIND:
+            header = _read_u64(fh, 1, path, "layer count")
+            _model_shapes(path, kind, header, FileFormatError)
+            header += _read_u64(fh, header[0] + 1, path, "layer dims")
+            names = ("weights",) * header[0]
+        shapes = _model_shapes(path, kind, header, FileFormatError)
+        _check_size(fh, 8 * sum(rows * cols for rows, cols in shapes), path)
+        arrays = [_read_f64(fh, shape, path, what) for shape, what in zip(shapes, names)]
+    return (MlpParams(weights=arrays) if kind == MlpParams.KIND
+            else EncoderParams(*arrays, k=int(header[3])))
 
 
 # ---------------------------------------------------------------------------
