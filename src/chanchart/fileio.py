@@ -33,6 +33,7 @@ import struct
 import numpy as np
 
 from .encoder import EncoderParams, MlpParams
+from .metricspace import ENERGY_BOUND
 from .synthgen import ChannelSet
 
 MAGIC_DATASET = b"CCD1"
@@ -116,6 +117,24 @@ def _model_shapes(path: str, kind: int, header: tuple, error) -> list:
     if any(d < 1 for d in header[1:]) or header[1:] and header[1] % 2:
         raise error(f"{path}: implausible layer dims {header[1:]}")
     return [(hi, lo) for lo, hi in zip(header[1:], header[2:])]
+
+
+@np.errstate(over="ignore")  # a sum past the float range is inf, which fails the bound
+def _check_energy(path: str, kind: int, arrays: list, error) -> None:
+    """The CCM1 parameter bound, read and written: each hybrid atom (column j of
+    d_re and d_im) and anchor (column j of z), and each running product of an
+    MLP's layer sums of squares, input layer first, is below ENERGY_BOUND.  So a
+    chartable row's correlations stay below 2^510, and its chart point below 2^255.
+    """
+    if kind == EncoderParams.KIND:
+        d_re, d_im, z = (np.einsum("ij,ij->j", a, a) for a in arrays)
+        sums = np.concatenate([d_re + d_im, z])
+    else:
+        sums = [1.0]
+        for w in arrays:
+            sums.append(sums[-1] * float(np.einsum("ij,ij->", w, w)))
+    if not (np.asarray(sums) < ENERGY_BOUND).all():  # NaN and inf fail too
+        raise error(f"{path}: model parameter sum of squares >= 2^510 can overflow a chart")
 
 
 @contextlib.contextmanager
@@ -261,8 +280,8 @@ def read_dataset(path: str, sample_rate: float = 7.0) -> ChannelSet:
 def write_model(path: str, model) -> None:
     """Write a ``CCM1`` file, atomically: a failed write leaves no partial file.
 
-    A model that read_model would refuse, by its header or by a non-finite
-    parameter, raises ValueError before any file is made.
+    A model that read_model would refuse, by its header, a non-finite
+    parameter or the parameter bound, raises ValueError before any file is made.
     """
     kind = getattr(model, "KIND", None)
     if kind == EncoderParams.KIND:
@@ -275,6 +294,7 @@ def write_model(path: str, model) -> None:
     _model_shapes(path, kind, header, ValueError)
     if not all(np.isfinite(a).all() for a in model.file_arrays()):
         raise ValueError(f"{path}: non-finite model parameter")
+    _check_energy(path, kind, model.file_arrays(), ValueError)
     with _replacing(path) as fh:
         fh.write(MAGIC_MODEL)
         fh.write(struct.pack(f"<{1 + len(header)}Q", kind, *header))
@@ -286,8 +306,8 @@ def read_model(path: str):
     """Load a ``CCM1`` file into EncoderParams or MlpParams.
 
     As with ``read_dataset``, the header is checked against the file length
-    before any weights are allocated, and non-finite weights are rejected,
-    all as ``FileFormatError``.
+    before any weights are allocated, and weights non-finite or past the
+    bound are rejected, all as ``FileFormatError``.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
@@ -305,6 +325,7 @@ def read_model(path: str):
         shapes = _model_shapes(path, kind, header, FileFormatError)
         _check_size(fh, 8 * sum(rows * cols for rows, cols in shapes), path)
         arrays = [_read_f64(fh, shape, path, what) for shape, what in zip(shapes, names)]
+    _check_energy(path, kind, arrays, FileFormatError)
     return (MlpParams(weights=arrays) if kind == MlpParams.KIND
             else EncoderParams(*arrays, k=int(header[3])))
 

@@ -236,6 +236,23 @@ def ccd1_bytes(channels: np.ndarray, positions: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
+def ccm1_bytes(model) -> bytes:
+    """A ``CCM1`` model file packed with ``struct``, without the writer's checks.
+
+    The kind, then M, N_init, D_out and k for a hybrid or the layer count
+    and the layer dims for an MLP, then every file array row-major, all
+    little-endian; so a test can write a model that ``write_model`` refuses.
+    """
+    arrays = model.file_arrays()
+    if model.KIND == 0:
+        header = (model.m, arrays[0].shape[1], model.d_out, model.k)
+    else:
+        header = (len(arrays), arrays[0].shape[1], *(w.shape[0] for w in arrays))
+    parts = [b"CCM1", struct.pack(f"<{1 + len(header)}Q", model.KIND, *header)]
+    parts += [struct.pack(f"<{a.size}d", *a.ravel().tolist()) for a in arrays]
+    return b"".join(parts)
+
+
 def argsort_top_k_mask(b: np.ndarray, k: int) -> np.ndarray:
     """Mask of the first k entries of a stable descending argsort along the
     last axis (k at or beyond its length keeps everything).

@@ -8,7 +8,9 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from chanchart.rng import SplitMix64, substream
 from chanchart.synthgen import ChannelSet, generate_trajectory, synthesize_channels
 from chanchart.trainer import split_dataset, train_size
 from chanchart.triplet import mine_triplets
+from helpers import ccm1_bytes
 
 
 def _small_doc(n_subcarriers=4, n_init=12, k=3, d_out=2, init="random"):
@@ -982,6 +985,97 @@ def test_corrupted_files_fail_with_one_json_line(tiny_files, tmp_path, capsys):
                 assert (code, doc["error"]) == (4, "format"), doc
             cases += 1
     assert 100 <= cases <= 200
+
+
+def _with_arrays(model, arrays):
+    """A model of ``model``'s kind (and k) holding ``arrays`` as its file arrays."""
+    if model.KIND == 0:
+        return encoder.EncoderParams(*arrays, k=model.k)
+    return encoder.MlpParams(weights=list(arrays))
+
+
+def _run_verb(verb, data, model, out, capsys):
+    """(exit code, stderr lines) of one verb, which must raise no RuntimeWarning."""
+    argv = [verb, "--preset", "tiny", "--data", data, "--out", out,
+            "--model-in" if verb == "train" else "--model", model]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], verb
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "mlp"])
+def test_models_past_the_parameter_bound_exit_4_and_write_nothing(tiny_files, tmp_path,
+                                                                  capsys, kind):
+    # a hybrid from init with its dictionary times 1e300, and an MLP with its
+    # first two layers times 1e300: every chart would overflow to NaN
+    data, model = tiny_files["data"], str(tmp_path / "model.bin")
+    if kind == "hybrid":
+        assert main(["init", "--preset", "tiny", "--data", data, "--out", model]) == 0
+        params = fileio.read_model(model)
+        arrays = [params.d_re * 1e300, params.d_im * 1e300, params.z]
+    else:
+        with fileio.RowReader(data) as reader:
+            params = encoder.mlp_init(reader.m, seed=2, hidden=(16, 8))
+        arrays = [w * 1e300 if i < 2 else w for i, w in enumerate(params.weights)]
+    with open(model, "wb") as fh:
+        fh.write(ccm1_bytes(_with_arrays(params, arrays)))
+    for verb in ("eval", "chart", "train"):
+        code, err = _run_verb(verb, data, model, str(tmp_path / "out"), capsys)
+        assert code == 4, verb
+        assert len(err) == 1, (verb, err)
+        assert json.loads(err[0]) == {
+            "error": "format",
+            "detail": f"{model}: model parameter sum of squares >= 2^510 can overflow a chart"}
+        assert os.listdir(tmp_path) == ["model.bin"], verb
+
+
+def test_parameters_scaled_by_2_to_the_k_run_below_the_bound_and_exit_4_at_it(
+        tiny_files, tmp_path, capsys):
+    # one seeded file array of each tiny model is scaled by 2^k, for k on both
+    # sides of the first k at which an exact rational oracle finds a hybrid
+    # atom or anchor, or an MLP running product of layer sums of squares,
+    # at or above 2^510
+    rng = SplitMix64(510)
+    scaled, out = str(tmp_path / "scaled.bin"), str(tmp_path / "out")
+    runs = {False: 0, True: 0}
+    for target in ("hybrid", "mlp"):
+        params = fileio.read_model(tiny_files[target])
+        arrays = params.file_arrays()
+        which = rng.randbelow(len(arrays))
+        cols = [[sum(Fraction(x) ** 2 for x in col) for col in a.T.tolist()] for a in arrays]
+
+        def reaches_bound(k):
+            sums = [[c * Fraction(4) ** k for c in s] if i == which else s
+                    for i, s in enumerate(cols)]
+            if params.KIND == 0:
+                figures = [a + b for a, b in zip(sums[0], sums[1])] + sums[2]
+            else:
+                figures = [math.prod(sum(s) for s in sums[:i + 1]) for i in range(len(sums))]
+            return max(figures) >= 2 ** 510
+
+        lo, hi = 0, 600  # the bound is first reached at k = hi
+        assert not reaches_bound(lo) and reaches_bound(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if reaches_bound(mid) else (mid, hi)
+        for k in sorted({hi - 2 - rng.randbelow(8), hi - 1, hi, hi + rng.randbelow(8)}):
+            blob = ccm1_bytes(_with_arrays(params, [a * 2.0 ** k if i == which else a
+                                                    for i, a in enumerate(arrays)]))
+            with open(scaled, "wb") as fh:
+                fh.write(blob)
+            code, err = _run_verb(("eval", "chart")[k % 2], tiny_files["data"], scaled, out,
+                                  capsys)
+            past = reaches_bound(k)
+            if past:
+                assert (code, len(err)) == (4, 1), (target, k, err)
+                assert json.loads(err[0])["error"] == "format"
+            else:
+                assert (code, err) == (0, []), (target, k, err)
+            runs[past] += 1
+    assert runs[False] >= 4 and runs[True] >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chanchart import fileio
-from chanchart.encoder import EncoderParams, MlpParams, init_random, mlp_init
+from chanchart.encoder import EncoderParams, MlpParams, chart_batch, init_random, mlp_init
 from chanchart.fileio import (
     READ_ROWS,
     FileFormatError,
@@ -27,7 +27,7 @@ from chanchart.fileio import (
 )
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import ChannelSet
-from helpers import ccd1_bytes
+from helpers import ccd1_bytes, ccm1_bytes
 
 
 def _random_channelset(n=7, m=5, p=2, seed=0):
@@ -419,6 +419,18 @@ def _nan_weight():
     return model
 
 
+def _huge_hybrid():
+    # every atom's sum of squares overflows to inf
+    model = init_random(4, 3, 2, 2, seed=3)
+    return EncoderParams(d_re=model.d_re * 1e300, d_im=model.d_im * 1e300, z=model.z, k=2)
+
+
+def _huge_mlp():
+    # the first two layers' running product overflows to inf
+    w = mlp_init(6, seed=2, hidden=(16, 8)).weights
+    return MlpParams(weights=[w[0] * 1e300, w[1] * 1e300, w[2]])
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: EncoderParams(d_re=np.zeros((0, 3)), d_im=np.zeros((0, 3)), z=np.ones((2, 3)),
                            k=1), "implausible hybrid header M=0"),
@@ -429,12 +441,68 @@ def _nan_weight():
     (lambda: MlpParams(weights=[np.ones((1, 2))] + [np.ones((1, 1))] * 64),
      "implausible layer count 65"),
     (_nan_weight, "non-finite"),
-], ids=["hybrid-M0", "hybrid-D_out0", "mlp-odd-input", "mlp-65-layers", "nan-weight"])
+    (_huge_hybrid, r"sum of squares >= 2\^510"),
+    (_huge_mlp, r"sum of squares >= 2\^510"),
+], ids=["hybrid-M0", "hybrid-D_out0", "mlp-odd-input", "mlp-65-layers", "nan-weight",
+        "hybrid-past-bound", "mlp-past-bound"])
 def test_model_writer_refuses_a_model_the_reader_refuses(tmp_path, make, match):
     # no file is made, not even the temporary one
     with pytest.raises(ValueError, match=match):
         write_model(str(tmp_path / "m.bin"), make())
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("make", [_huge_hybrid, _huge_mlp], ids=["hybrid", "mlp"])
+def test_model_reader_refuses_parameters_past_the_bound(tmp_path, make):
+    path = tmp_path / "m.bin"
+    path.write_bytes(ccm1_bytes(make()))
+    with pytest.raises(FileFormatError, match=r"m.bin: .*sum of squares >= 2\^510"):
+        read_model(str(path))
+
+
+def _bound_models(at_bound: bool):
+    """Models whose largest sum of squares is 2^510 if ``at_bound``, else just below it."""
+    x, h = 2.0 ** 255, 2.0 ** 254
+    if not at_bound:  # an ulp off h would round the atom's sum up to 2^510
+        x, h = np.nextafter(x, 0.0), h * (1.0 - 2.0 ** -26)
+    one, zero = np.array([[1.0], [0.0]]), np.zeros((2, 1))
+    # an atom whose d_re and d_im halves each hold 2^509: only their sum reaches the bound
+    yield EncoderParams(d_re=np.full((2, 1), 2.0 ** 254), d_im=np.array([[2.0 ** 254], [h]]),
+                        z=one, k=1)
+    yield EncoderParams(d_re=one, d_im=zero, z=np.array([[x], [0.0]]), k=1)  # an anchor
+    # layers holding 2^-200 and x^2 2^200: only their running product reaches it
+    yield MlpParams(weights=[np.array([[2.0 ** -100, 0.0]]), np.array([[x * 2.0 ** 100]]),
+                             np.array([[1.0], [0.0]])])
+
+
+def test_model_bound_is_strict_below_2_to_the_510(tmp_path):
+    # a model just below the bound is written and read back bit for bit;
+    # one at it is refused by the writer and, as raw bytes, by the reader
+    path = tmp_path / "m.bin"
+    for model in _bound_models(at_bound=False):
+        write_model(str(path), model)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(read_model(str(path)).file_arrays(), model.file_arrays()))
+    for model in _bound_models(at_bound=True):
+        with pytest.raises(ValueError, match=r"2\^510"):
+            write_model(str(path), model)
+        path.write_bytes(ccm1_bytes(model))
+        with pytest.raises(FileFormatError, match=r"2\^510"):
+            read_model(str(path))
+
+
+def test_hybrid_with_one_atom_scaled_by_2_to_the_200_charts_finite_points(tmp_path):
+    model = init_random(16, 12, 3, 2, seed=1)
+    d_re, d_im = model.d_re.copy(), model.d_im.copy()
+    d_re[:, 5] *= 2.0 ** 200
+    d_im[:, 5] *= 2.0 ** 200
+    path = str(tmp_path / "m.bin")
+    write_model(path, EncoderParams(d_re=d_re, d_im=d_im, z=model.z, k=model.k))
+    back = read_model(path)
+    assert np.array_equal(back.d_re, d_re) and np.array_equal(back.d_im, d_im)
+    channels = _random_channelset(n=40, m=16, seed=9).channels
+    chart, ok = chart_batch(back, channels)
+    assert ok.all() and np.isfinite(chart).all()
 
 
 def test_write_model_rejects_unknown_type(tmp_path):
