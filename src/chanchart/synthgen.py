@@ -232,32 +232,35 @@ def _track_positions(track) -> np.ndarray:
     return positions
 
 
-def channel_blocks(track, radio: RadioConfig, scatterers: ScattererSet,
-                   block: int = 512, out=None):
-    """Yield the channel rows of consecutive blocks of track positions, in order.
+# Synthesis computes this many track positions per block; the bytes do not depend on it.
+SYNTH_ROWS = 512
+
+
+def channel_blocks(track, radio: RadioConfig, scatterers: ScattererSet, out=None):
+    """Yield the channel rows of consecutive SYNTH_ROWS-row blocks of track positions.
 
     Given ``out`` (N, M), each block is written into its rows of ``out`` and
     yielded as a view of them; otherwise every block is computed in one
-    reused (block, M) buffer, valid only until the next block.
+    reused (SYNTH_ROWS, M) buffer, valid only until the next block.
     """
     positions = _track_positions(track)
     n = positions.shape[0]
     if positions.shape[1] == 2:
         positions = np.concatenate([positions, np.zeros((n, 1))], axis=1)
-    buf = np.empty((min(block, n), radio.m), dtype=np.complex128) if out is None else None
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    buf = np.empty((min(SYNTH_ROWS, n), radio.m), dtype=np.complex128) if out is None else None
+    for start in range(0, n, SYNTH_ROWS):
+        stop = min(start + SYNTH_ROWS, n)
         rows = buf[:stop - start] if out is None else out[start:stop]
         _synthesize_block(positions[start:stop], radio, scatterers, start, rows)
         yield rows
 
 
 def synthesize_channels(track, radio: RadioConfig, scatterers: ScattererSet,
-                        sample_rate: float = 7.0, block: int = 512) -> ChannelSet:
+                        sample_rate: float = 7.0) -> ChannelSet:
     """Channel rows for every track position, in order; positions kept as given."""
     positions = _track_positions(track)
     rows = np.empty((positions.shape[0], radio.m), dtype=np.complex128)
-    for _ in channel_blocks(positions, radio, scatterers, block, out=rows):
+    for _ in channel_blocks(positions, radio, scatterers, out=rows):
         pass
     return ChannelSet(channels=rows, positions=positions, sample_rate=sample_rate)
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chanchart import synthgen
 from chanchart.metricspace import pseudo_distance
 from chanchart.rng import SplitMix64
 from chanchart.synthgen import (
@@ -216,12 +217,13 @@ def test_channel_vector_accepts_2d_position():
     assert np.array_equal(a, b)
 
 
-def test_synthesize_channels_matches_per_row_route():
+def test_synthesize_channels_matches_per_row_route(monkeypatch):
+    monkeypatch.setattr(synthgen, "SYNTH_ROWS", 4)
     radio = RadioConfig(n_rows=2, n_cols=2, n_subcarriers=4,
                         bs_position=(2.0, 2.0, 8.0))
     scat = ScattererSet(points=[[10.0, -3.0, 5.0]], gains=[0.6])
     track = np.stack([np.linspace(0.0, 5.0, 10), np.linspace(1.0, 3.0, 10)], axis=1)
-    cs = synthesize_channels(track, radio, scat, sample_rate=2.0, block=4)
+    cs = synthesize_channels(track, radio, scat, sample_rate=2.0)
     assert cs.channels.shape == (10, radio.m)
     assert np.array_equal(cs.positions, track)
     assert cs.sample_rate == 2.0
@@ -232,11 +234,12 @@ def test_synthesize_channels_matches_per_row_route():
 
 
 @pytest.mark.parametrize("block", [1, 7, 512])
-def test_synthesize_channels_is_byte_identical_to_allocating_oracle(block):
+def test_synthesize_channels_is_byte_identical_to_allocating_oracle(monkeypatch, block):
     # full-size radio and the stock scatterers; 600 rows are no multiple of the block
+    monkeypatch.setattr(synthgen, "SYNTH_ROWS", block)
     traj, radio, scat = loop_scenario(600, seed=4)
     track = generate_trajectory(traj)
-    got = synthesize_channels(track, radio, scat, block=block).channels
+    got = synthesize_channels(track, radio, scat).channels
     assert got.tobytes() == synthesize_oracle(track, radio, scat, block).tobytes()
 
 
