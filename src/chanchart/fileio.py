@@ -121,10 +121,10 @@ def _model_shapes(path: str, kind: int, header: tuple, error) -> list:
 
 @np.errstate(over="ignore")  # a sum past the float range is inf, which fails the bound
 def _check_energy(path: str, kind: int, arrays: list, error) -> None:
-    """The CCM1 parameter bound, read and written: each hybrid atom (column j of
-    d_re and d_im) and anchor (column j of z), and each running product of an
-    MLP's layer sums of squares, input layer first, is below ENERGY_BOUND.  So a
-    chartable row's correlations stay below 2^510, and its chart point below 2^255.
+    """The CCM1 parameter bound, read and written: the sum of squares of each hybrid
+    atom (column j of d_re and d_im) and anchor (column j of z), and each running
+    product of an MLP's layer sums of squares, input layer first, is below
+    ENERGY_BOUND.  So a chartable row's correlations stay below 2^510, its chart below 2^255.
     """
     if kind == EncoderParams.KIND:
         d_re, d_im, z = (np.einsum("ij,ij->j", a, a) for a in arrays)

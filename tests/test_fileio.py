@@ -452,18 +452,10 @@ def test_model_writer_refuses_a_model_the_reader_refuses(tmp_path, make, match):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("make", [_huge_hybrid, _huge_mlp], ids=["hybrid", "mlp"])
-def test_model_reader_refuses_parameters_past_the_bound(tmp_path, make):
-    path = tmp_path / "m.bin"
-    path.write_bytes(ccm1_bytes(make()))
-    with pytest.raises(FileFormatError, match=r"m.bin: .*sum of squares >= 2\^510"):
-        read_model(str(path))
-
-
 def _bound_models(at_bound: bool):
     """Models whose largest sum of squares is 2^510 if ``at_bound``, else just below it."""
     x, h = 2.0 ** 255, 2.0 ** 254
-    if not at_bound:  # an ulp off h would round the atom's sum up to 2^510
+    if not at_bound:  # one ulp below h would still round the atom's sum to 2^510
         x, h = np.nextafter(x, 0.0), h * (1.0 - 2.0 ** -26)
     one, zero = np.array([[1.0], [0.0]]), np.zeros((2, 1))
     # an atom whose d_re and d_im halves each hold 2^509: only their sum reaches the bound
